@@ -10,7 +10,6 @@ from .characters import (
     char_dual,
     char_tensor,
     char_twist,
-    trivial_character,
     weyl_character,
 )
 from .classtables import (

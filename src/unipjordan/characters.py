@@ -60,10 +60,6 @@ def weyl_character(m: int) -> Character:
     return Character.from_dict({m - 2 * i: 1 for i in range(m + 1)})
 
 
-def trivial_character() -> Character:
-    return Character.from_dict({0: 1})
-
-
 def char_add(a: Character, b: Character) -> Character:
     out = a.as_dict()
     for w, m in b.items:

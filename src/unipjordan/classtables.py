@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DomainError, JordanType, check_prime
+from .core import DomainError, JordanType, check_prime, parse_blocks, render_blocks
 from .expr import ModuleExpr
 from .rootdata import module_dimension, parse_group_name
 from .sl2 import EvalResult, eval_expr
@@ -31,29 +31,6 @@ class TableFormatError(DomainError):
 
 
 Partition = tuple[tuple[int, int], ...]  # ((size, mult), ...) descending
-
-
-def _render_partition(blocks: Partition) -> str:
-    return " ".join(f"{s}^{m}" if m > 1 else str(s) for s, m in blocks)
-
-
-def _parse_partition_text(text: str) -> Partition:
-    pairs = []
-    for tok in text.split():
-        if "^" in tok:
-            s_str, m_str = tok.split("^", 1)
-            pairs.append((int(s_str), int(m_str)))
-        else:
-            pairs.append((int(tok), 1))
-    blocks = tuple(pairs)
-    if _render_partition(blocks) != text:
-        raise ValueError("partition does not round-trip the canonical rendering")
-    sizes = [s for s, _ in blocks]
-    if sorted(set(sizes), reverse=True) != sizes or any(s < 1 for s in sizes):
-        raise ValueError("partition not in canonical descending form")
-    if any(m < 1 for _, m in blocks):
-        raise ValueError("multiplicities must be positive")
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -73,14 +50,6 @@ class ClassEntry:
 @dataclass
 class ClassTable:
     entries: list[ClassEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            key = (e.group, e.p, e.module_tag, e.partition)
-            if key in seen:
-                raise TableFormatError(f"duplicate table key {key}")
-            seen.add(key)
 
     def lookup(self, group: str, p: int, module_tag: str,
                partition: Partition) -> Optional[ClassEntry]:
@@ -130,10 +99,15 @@ def load_class_table(path) -> ClassTable:
                 raise TableFormatError(
                     f"{path}:{lineno}: unknown module tag {tag!r}")
             try:
-                partition = _parse_partition_text(part_str)
-            except ValueError as exc:
+                partition = tuple(parse_blocks(part_str))
+            except DomainError as exc:
+                raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
+            sizes = [s for s, _ in partition]
+            # bit-exact round trip through the renderer, sizes strictly descending
+            if (render_blocks(partition) != part_str
+                    or sorted(set(sizes), reverse=True) != sizes):
                 raise TableFormatError(
-                    f"{path}:{lineno}: bad partition {part_str!r}: {exc}") from exc
+                    f"{path}:{lineno}: partition {part_str!r} is not in canonical form")
             entry = ClassEntry(f"{letter}{rank}", p, tag, partition, label, source)
             expected = module_dimension(letter, rank, tag)
             if entry.dim != expected:

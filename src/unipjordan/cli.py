@@ -18,9 +18,9 @@ import os
 import sys
 
 from .classtables import bundled_table, identify_from_expr, load_class_table
-from .core import DomainError, JordanType, parse_partition
+from .core import DomainError, parse_partition, render_blocks
 from .distinguished import is_distinguished, lift_quotient_to_orthogonal
-from .expr import parse_expr
+from .expr import Atom, parse_expr
 from .extclassify import (
     classify_dim4_p2,
     enumerate_indecomposables,
@@ -30,13 +30,9 @@ from .extclassify import (
 )
 from .oracle import DEFAULT_DIM_CAP, oracle_certificate, oracle_eval
 from .rootdata import parse_group_name, qm_structure, root_system
-from .sl2 import eval_expr, tensor_jordan, tilting_jordan, weyl_jordan, tilting_char
+from .sl2 import EvalResult, eval_expr, tensor_jordan, weyl_jordan
 
 PROG = "unipjordan"
-
-
-def _jordan_json(t: JordanType) -> list[list[int]]:
-    return t.as_pairs()
 
 
 def _emit(args, payload: dict, human: str):
@@ -44,6 +40,14 @@ def _emit(args, payload: dict, human: str):
         print(json.dumps(payload))
     else:
         print(human)
+
+
+def _emit_result(args, res: EvalResult, human: str):
+    """Emit dimension and Jordan type; under --json, build the character too."""
+    payload = {"dim": res.dim, "jordan": res.jordan.as_pairs()}
+    if args.json:
+        payload["character"] = [[w, m] for w, m in res.character.items]
+    _emit(args, payload, human)
 
 
 def _cmd_jordan(args) -> int:
@@ -55,30 +59,25 @@ def _cmd_jordan(args) -> int:
             print(f"oracle mismatch: closed form {res.jordan}, oracle {got}",
                   file=sys.stderr)
             return 1
-    payload = {"dim": res.dim, "jordan": _jordan_json(res.jordan),
-               "character": [[w, m] for w, m in res.character.items]}
-    _emit(args, payload, str(res.jordan))
+    _emit_result(args, res, str(res.jordan))
     return 0
 
 
 def _cmd_tensor(args) -> int:
     t = tensor_jordan(args.m, args.n, args.p)
-    _emit(args, {"dim": t.dim, "jordan": _jordan_json(t)}, str(t))
+    _emit(args, {"dim": t.dim, "jordan": t.as_pairs()}, str(t))
     return 0
 
 
 def _cmd_weyl(args) -> int:
     t = weyl_jordan(args.m, args.p)
-    _emit(args, {"dim": t.dim, "jordan": _jordan_json(t)}, str(t))
+    _emit(args, {"dim": t.dim, "jordan": t.as_pairs()}, str(t))
     return 0
 
 
 def _cmd_tilting(args) -> int:
-    t = tilting_jordan(args.c, args.p)
-    ch = tilting_char(args.c, args.p)
-    payload = {"dim": t.dim, "jordan": _jordan_json(t),
-               "character": [[w, m] for w, m in ch.items]}
-    _emit(args, payload, f"{t}\ndim: {t.dim}")
+    res = eval_expr(Atom("T", args.c), args.p)
+    _emit_result(args, res, f"{res.jordan}\ndim: {res.dim}")
     return 0
 
 
@@ -93,7 +92,7 @@ def _cmd_classify_ext(args) -> int:
     payload: dict = {"verdict": v.kind}
     human = v.kind
     if v.kind in ("WeylTwist", "DualWeylTwist"):
-        payload.update({"c": v.c, "l": v.l, "jordan": _jordan_json(v.jordan)})
+        payload.update({"c": v.c, "l": v.l, "jordan": v.jordan.as_pairs()})
         human = f"{v.kind}(c={v.c}, l={v.l})\njordan: {v.jordan}"
     _emit(args, payload, human)
     return 0
@@ -137,7 +136,7 @@ def _cmd_lift_bd(args) -> int:
         raise DomainError("the stabilizer lift applies in characteristic 2 only")
     t = parse_partition(args.partition, 2)
     lifted = lift_quotient_to_orthogonal(t)
-    _emit(args, {"dim": lifted.dim, "jordan": _jordan_json(lifted)}, str(lifted))
+    _emit(args, {"dim": lifted.dim, "jordan": lifted.as_pairs()}, str(lifted))
     return 0
 
 
@@ -167,14 +166,13 @@ def _cmd_identify(args) -> int:
         table = bundled_table()
     e = parse_expr(args.expr)
     jt, result = identify_from_expr(table, args.group, args.p, e, args.module)
-    payload = {"dim": jt.dim, "jordan": _jordan_json(jt)}
+    payload = {"dim": jt.dim, "jordan": jt.as_pairs()}
     if result:
         payload["label"] = result.label
         human = result.label
     else:
         payload["nearest"] = [
-            {"label": entry.label, "partition": " ".join(
-                f"{s}^{m}" if m > 1 else str(s) for s, m in entry.partition),
+            {"label": entry.label, "partition": render_blocks(entry.partition),
              "distance": dist}
             for dist, entry in result.nearest]
         human = "NotFound"

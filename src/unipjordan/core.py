@@ -17,18 +17,34 @@ class DomainError(ValueError):
     """Invalid input to one of the calculus operations."""
 
 
+# The first twelve primes: as Miller-Rabin bases they decide every n below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; p >= PRIME_LIMIT raises DomainError.
+    Division by the bases comes first, so p <= 37 needs no modular power."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= PRIME_LIMIT:
+        raise DomainError(f"primality is decided only below {PRIME_LIMIT}, got {p}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -116,27 +132,27 @@ class JordanType:
         return JordanType.from_blocks(self.blocks + other.blocks, self.p)
 
     def __str__(self) -> str:
-        if not self.blocks:
-            return "0"
-        return " ".join(f"{s}^{m}" if m > 1 else str(s) for s, m in self.blocks)
+        return render_blocks(self.blocks) if self.blocks else "0"
 
     def as_pairs(self) -> list[list[int]]:
         """[[size, mult], ...] descending: the JSON serialization."""
         return [[s, m] for s, m in self.blocks]
 
 
-def parse_partition(text: str, p: int) -> JordanType:
-    """Parse a partition in any of the accepted command-line forms.
+def render_blocks(blocks) -> str:
+    """Canonical rendering ``"5^15 1^3"`` of (size, multiplicity) pairs."""
+    return " ".join(f"{s}^{m}" if m > 1 else str(s) for s, m in blocks)
+
+
+def parse_blocks(text: str) -> list[tuple[int, int]]:
+    """Parse a partition in any of the accepted command-line forms into
+    (size, multiplicity) pairs, in the order written.
 
     Accepts "15 9 3", "15,9,3" and "5^15 1^3" (mixed tokens allowed);
     a token "s^m" contributes m blocks of size s.
     """
-    check_prime(p)
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        return JordanType((), p)
     pairs = []
-    for tok in tokens:
+    for tok in text.replace(",", " ").split():
         try:
             if "^" in tok:
                 s_str, m_str = tok.split("^", 1)
@@ -148,7 +164,13 @@ def parse_partition(text: str, p: int) -> JordanType:
     for s, m in pairs:
         if s < 1 or m < 1:
             raise DomainError(f"bad partition token ({s}^{m}) in {text!r}")
-    return JordanType.from_blocks(pairs, p)
+    return pairs
+
+
+def parse_partition(text: str, p: int) -> JordanType:
+    """Parse a partition, in a form :func:`parse_blocks` accepts, in characteristic p."""
+    check_prime(p)
+    return JordanType.from_blocks(parse_blocks(text), p)
 
 
 @dataclass(frozen=True)

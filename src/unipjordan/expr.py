@@ -166,42 +166,18 @@ def render_expr(e: ModuleExpr) -> str:
     """Render an AST back to a string; parse(render(e)) == e."""
     if isinstance(e, Atom):
         return f"{e.kind}({e.weight})"
-    if isinstance(e, Sum):
-        left = render_expr(e.left)
-        right = render_expr(e.right)
-        if isinstance(e.right, Sum):  # keep right-nested sums explicit
-            right = f"({right})"
-        return f"{left}+{right}"
+    if isinstance(e, Sum):  # keep right-nested sums explicit
+        return f"{render_expr(e.left)}+{_operand(e.right, Sum)}"
     if isinstance(e, Tensor):
-        left = render_expr(e.left)
-        if isinstance(e.left, Sum):
-            left = f"({left})"
-        right = render_expr(e.right)
-        if isinstance(e.right, (Sum, Tensor)):
-            right = f"({right})"
-        return f"{left}*{right}"
+        return f"{_operand(e.left, Sum)}*{_operand(e.right, (Sum, Tensor))}"
     if isinstance(e, Dual):
-        inner = render_expr(e.inner)
-        if isinstance(e.inner, (Sum, Tensor)):
-            inner = f"({inner})"
-        return f"{inner}^*"
+        return f"{_operand(e.inner, (Sum, Tensor))}^*"
     if isinstance(e, Twist):
-        inner = render_expr(e.inner)
-        if isinstance(e.inner, (Sum, Tensor)):
-            inner = f"({inner})"
-        return f"{inner}[{e.l}]"
+        return f"{_operand(e.inner, (Sum, Tensor))}[{e.l}]"
     raise TypeError(f"not a module expression: {e!r}")
 
 
-def atoms_of(e: ModuleExpr):
-    """Yield every Atom in the tree."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            yield node
-        elif isinstance(node, (Sum, Tensor)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Dual, Twist)):
-            stack.append(node.inner)
+def _operand(e: ModuleExpr, grouped) -> str:
+    """Render e, in parentheses when it is an instance of ``grouped``."""
+    text = render_expr(e)
+    return f"({text})" if isinstance(e, grouped) else text

@@ -17,6 +17,11 @@ Jordan block has size at most p.  The block data of the basic modules:
   the tensor-twist recursion T(c) = T(p-1+r) (x) T(s)^[1] for
   c = sp + (p-1+r).
 
+None of this needs a weight multiplicity, so :func:`eval_expr` works on
+integers only.  The character is a separate recursion, run the first time
+:attr:`EvalResult.character` is read; the tilting characters it uses sit
+in a bounded cache, the module's only shared state.
+
 Everything here is cross-checked against the finite-field matrix oracle
 in :mod:`unipjordan.oracle` by the test suite.
 """
@@ -24,12 +29,12 @@ in :mod:`unipjordan.oracle` by the test suite.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+import math
+from dataclasses import dataclass
 
 from .characters import (
     Character,
     char_add,
-    char_dim,
     char_dual,
     char_tensor,
     char_twist,
@@ -115,7 +120,7 @@ def irrep_char(lam: int, p: int) -> Character:
     return ch
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)  # a 30 s calculus benchmark run fills ~1100
 def tilting_char(c: int, p: int) -> Character:
     """Character of the indecomposable tilting module of highest weight c.
 
@@ -136,18 +141,24 @@ def tilting_char(c: int, p: int) -> Character:
 
 
 def tilting_dim(c: int, p: int) -> int:
-    return char_dim(tilting_char(c, p))
+    """Dimension of T(c) by the tensor-twist recursion on integers, where
+    dim T(p-1+r) is p for r = 0 and 2p for 1 <= r <= p-1."""
+    check_prime(p)
+    if c < 0:
+        raise DomainError(f"dominant weight must be >= 0, got {c}")
+    dim = 1
+    while c > 2 * p - 2:
+        c, r = divmod(c - (p - 1), p)
+        dim *= 2 * p if r else p
+    return dim * (c + 1 if c < p else 2 * p)
 
 
 def tilting_jordan(c: int, p: int) -> JordanType:
     """Jordan type of the tilting module: J_{c+1} when it is irreducible
     (c <= p-1); free of rank dim/p otherwise."""
-    check_prime(p)
-    if c < 0:
-        raise DomainError(f"dominant weight must be >= 0, got {c}")
+    dim = tilting_dim(c, p)
     if c <= p - 1:
         return JordanType.from_blocks([(c + 1, 1)], p)
-    dim = tilting_dim(c, p)
     big, rem = divmod(dim, p)
     if rem:
         raise RuntimeError(
@@ -155,46 +166,69 @@ def tilting_jordan(c: int, p: int) -> JordanType:
     return JordanType.from_blocks([(p, big)], p)
 
 
-class EvalResult(NamedTuple):
-    character: Character
+@dataclass(frozen=True)
+class EvalResult:
+    """Dimension and Jordan type of a module expression; the character is
+    built from ``expr`` the first time it is read, and kept."""
+
+    expr: ModuleExpr
+    p: int
     dim: int
     jordan: JordanType
 
+    @functools.cached_property
+    def character(self) -> Character:
+        ch = _character(self.expr, self.p)
+        if ch.dim != self.dim:
+            raise RuntimeError(f"character dim {ch.dim} != {self.dim} on {self.expr!r}: bug")
+        return ch
+
 
 def eval_expr(e: ModuleExpr, p: int) -> EvalResult:
-    """Character, dimension and Jordan type of a module expression.
-
-    Structural recursion: sums are disjoint unions, tensors convolve
-    characters and tensor the Jordan types, duals are the identity on
-    both, twists scale character weights and fix the Jordan type.
-    """
+    """Dimension and Jordan type of a module expression, each by structural
+    recursion (duals and twists fix both); the two are checked to agree."""
     check_prime(p)
-    ch, jt = _eval(e, p)
-    if ch.dim != jt.dim:
-        raise RuntimeError(
-            f"character/Jordan dimension mismatch {ch.dim} != {jt.dim} on {e!r}: bug")
-    return EvalResult(ch, ch.dim, jt)
+    dim, jt = _eval(e, p)
+    if dim != jt.dim:
+        raise RuntimeError(f"dimension/Jordan mismatch {dim} != {jt.dim} on {e!r}: bug")
+    return EvalResult(e, p, dim, jt)
 
 
-def _eval(e: ModuleExpr, p: int) -> tuple[Character, JordanType]:
+def _eval(e: ModuleExpr, p: int) -> tuple[int, JordanType]:
     if isinstance(e, Atom):
         if e.kind == "L":
-            return irrep_char(e.weight, p), irrep_jordan(e.weight, p)
+            dim = math.prod(d + 1 for d in base_p_digits(e.weight, p).digits)
+            return dim, irrep_jordan(e.weight, p)
         if e.kind == "V":
-            return weyl_character(e.weight), weyl_jordan(e.weight, p)
-        return tilting_char(e.weight, p), tilting_jordan(e.weight, p)
+            return e.weight + 1, weyl_jordan(e.weight, p)
+        return tilting_dim(e.weight, p), tilting_jordan(e.weight, p)
     if isinstance(e, Sum):
-        ch1, j1 = _eval(e.left, p)
-        ch2, j2 = _eval(e.right, p)
-        return char_add(ch1, ch2), j1.add(j2)
+        d1, j1 = _eval(e.left, p)
+        d2, j2 = _eval(e.right, p)
+        return d1 + d2, j1.add(j2)
     if isinstance(e, Tensor):
-        ch1, j1 = _eval(e.left, p)
-        ch2, j2 = _eval(e.right, p)
-        return char_tensor(ch1, ch2), tensor_jordan_types(j1, j2)
+        d1, j1 = _eval(e.left, p)
+        d2, j2 = _eval(e.right, p)
+        return d1 * d2, tensor_jordan_types(j1, j2)
+    if isinstance(e, (Dual, Twist)):
+        return _eval(e.inner, p)
+    raise TypeError(f"not a module expression: {e!r}")
+
+
+def _character(e: ModuleExpr, p: int) -> Character:
+    """Character of a module expression, by the recursion of _eval."""
+    if isinstance(e, Atom):
+        if e.kind == "L":
+            return irrep_char(e.weight, p)
+        if e.kind == "V":
+            return weyl_character(e.weight)
+        return tilting_char(e.weight, p)
+    if isinstance(e, Sum):
+        return char_add(_character(e.left, p), _character(e.right, p))
+    if isinstance(e, Tensor):
+        return char_tensor(_character(e.left, p), _character(e.right, p))
     if isinstance(e, Dual):
-        ch, jt = _eval(e.inner, p)
-        return char_dual(ch), jt
+        return char_dual(_character(e.inner, p))
     if isinstance(e, Twist):
-        ch, jt = _eval(e.inner, p)
-        return char_twist(ch, e.l, p), jt
+        return char_twist(_character(e.inner, p), e.l, p)
     raise TypeError(f"not a module expression: {e!r}")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from unipjordan.cli import main
+from unipjordan.core import PRIME_LIMIT, parse_partition
 
 WORKED_EXPR = "L(14)+T(10)+V(10)+V(10)^*+T(6)+L(4)+L(4)+L(0)"
 
@@ -71,6 +72,26 @@ def test_tensor_out_of_range(capsys):
 def test_weyl(capsys):
     code, out, _ = run(capsys, "weyl", "-p", "5", "10")
     assert code == 0 and out.strip() == "5^2 1"
+
+
+def test_weyl_large_prime(capsys):
+    code, out, _ = run(capsys, "weyl", "-p", str(2 ** 61 - 1), "3")
+    assert code == 0 and out.strip() == "4"
+    code, _, err = run(capsys, "weyl", "-p", "3825123056546413051", "3")
+    assert code == 1 and "prime" in err
+    code, _, err = run(capsys, "weyl", "-p", str(PRIME_LIMIT + 2), "3")
+    assert code == 1 and len(err.strip().splitlines()) == 1
+
+
+# Dimensions from the Weyl formula and from Donkin's tensor-twist recursion
+# worked separately; none of these needs a character.
+@pytest.mark.parametrize("expr, dim", [("V(3000000)", 3000001),
+                                       ("T(100000000)", 781250000),
+                                       ("T(100000000000)", 2929687500000)])
+def test_jordan_huge_weight(capsys, expr, dim):
+    code, out, _ = run(capsys, "jordan", "-p", "5", expr)
+    assert code == 0
+    assert parse_partition(out.strip(), 5).dim == dim
 
 
 def test_tilting(capsys):

@@ -1,5 +1,6 @@
 """Jordan types, digit vectors and character arithmetic."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from unipjordan.characters import (
     weyl_character,
 )
 from unipjordan.core import (
+    PRIME_LIMIT,
     DigitVector,
     DomainError,
     JordanType,
@@ -33,6 +35,18 @@ def test_prime_validation():
         assert not is_prime(bad)
         with pytest.raises(DomainError):
             check_prime(bad)
+    for n in range(10 ** 5):
+        by_trial_division = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == by_trial_division, n
+    assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
+    # a strong pseudoprime to every prime base up to 31: only base 37 rejects it
+    assert not is_prime(3825123056546413051)
+    with pytest.raises(DomainError):
+        check_prime(3825123056546413051)
+    # beyond the proven range of the twelve bases primality is not guessed
+    with pytest.raises(DomainError) as err:
+        check_prime(PRIME_LIMIT + 2)
+    assert "\n" not in str(err.value)
 
 
 def test_jordan_type_canonical_form():

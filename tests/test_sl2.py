@@ -7,12 +7,16 @@ other on grids.
 """
 
 import random
+import warnings
 
 import pytest
 
+import unipjordan.sl2 as sl2
 from helpers import rand_expr
+from unipjordan.classtables import bundled_table, identify_from_expr
+from unipjordan.cli import main
 from unipjordan.core import DomainError, JordanType
-from unipjordan.expr import Atom, Dual, Sum, Tensor, Twist, parse_expr
+from unipjordan.expr import Atom, Dual, Sum, Tensor, Twist, parse_expr, render_expr
 from unipjordan.sl2 import (
     eval_expr,
     irrep_char,
@@ -129,6 +133,10 @@ class TestTilting:
                 assert tilting_dim(c, p) == c + 1
             for c in range(p, 2 * p - 1):
                 assert tilting_dim(c, p) == 2 * p
+        # the integer recursion against the character recursion
+        for p in (2, 3, 5, 7, 11):
+            for c in range(3000):
+                assert tilting_dim(c, p) == tilting_char(c, p).dim, (c, p)
 
     def test_char_base_case_content(self):
         # uniserial middle layer: ch T(c) = ch V(c) + ch V(2p-2-c)
@@ -193,3 +201,33 @@ class TestEvalExpr:
         e = Sum(Tensor(Atom("T", 7), Atom("L", 3)), Twist(Atom("V", 9), 2))
         res = eval_expr(e, 5)
         assert res.character.dim == res.jordan.dim
+
+    def test_characters_built_only_when_read(self, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("a character was built without being read")
+
+        def forbid_characters():
+            for name in ("char_add", "char_tensor", "char_twist", "weyl_character",
+                         "irrep_char", "tilting_char"):
+                monkeypatch.setattr(sl2, name, forbidden)
+
+        forbid_characters()
+        rng = random.Random(6)
+        table = bundled_table()
+        results = []
+        for p in (2, 3, 5, 7):
+            for _ in range(60):
+                e = rand_expr(rng, depth=rng.randrange(0, 5), p=p)
+                results.append(eval_expr(e, p))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # dimensions rarely match E6
+                    jordan, _ = identify_from_expr(table, "E6", p, e)
+                assert jordan == results[-1].jordan
+                assert main(["jordan", "-p", str(p), render_expr(e)]) == 0
+                assert main(["tilting", "-p", str(p), str(rng.randrange(0, 10 ** 6))]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        characters = [res.character for res in results]
+        assert all(ch.dim == res.dim for ch, res in zip(characters, results))
+        forbid_characters()  # a second read is served by the first build
+        assert all(res.character is ch for ch, res in zip(characters, results))
