@@ -23,6 +23,7 @@ from .classtables import (
     load_class_table,
 )
 from .core import (
+    DEFAULT_DIM_CAP,
     DigitVector,
     DomainError,
     JordanType,
@@ -61,21 +62,6 @@ from .extclassify import (
     nonsplit_ext_classify,
     semisimplicity_verdict,
 )
-from .oracle import (
-    DEFAULT_DIM_CAP,
-    DimensionCapError,
-    FpMatrix,
-    NotUnipotentError,
-    direct_sum,
-    identity_matrix,
-    jordan_type_of_unipotent,
-    kron,
-    oracle_certificate,
-    oracle_eval,
-    pascal_matrix,
-    rank_mod_p,
-    rank_sequence,
-)
 from .rootdata import (
     QmStructure,
     RootSystem,
@@ -101,3 +87,27 @@ from .sl2 import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle is the only module that needs numpy; its names are resolved
+# on first use (PEP 562) so that closed-form callers never load numpy.
+_ORACLE_NAMES = frozenset({
+    "DimensionCapError",
+    "FpMatrix",
+    "NotUnipotentError",
+    "direct_sum",
+    "identity_matrix",
+    "jordan_type_of_unipotent",
+    "kron",
+    "oracle_certificate",
+    "oracle_eval",
+    "pascal_matrix",
+    "rank_mod_p",
+    "rank_sequence",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,8 @@ One subcommand per library operation; every command takes ``--json`` for
 machine-readable output with the stable schema
 ``{"dim": n, "jordan": [[size, mult], ...], "character":
 [[weight, mult], ...], "verdict": ..., "label": ...}`` (absent fields
-omitted).  Exit codes: 0 success, 1 domain error, 2 usage error.
+omitted).  Exit codes: 0 success, 1 domain error, 2 usage error; an
+error is reported as one line on stderr.
 
 The only environment variable consulted is ``UNIP_CLASS_TABLE``, an
 optional default class-table path for ``identify``.
@@ -16,9 +17,10 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .classtables import bundled_table, identify_from_expr, load_class_table
-from .core import DomainError, parse_partition, render_blocks
+from .core import DEFAULT_DIM_CAP, DomainError, parse_partition, render_blocks
 from .distinguished import is_distinguished, lift_quotient_to_orthogonal
 from .expr import Atom, parse_expr
 from .extclassify import (
@@ -28,7 +30,6 @@ from .extclassify import (
     nonsplit_ext_classify,
     semisimplicity_verdict,
 )
-from .oracle import DEFAULT_DIM_CAP, oracle_certificate, oracle_eval
 from .rootdata import parse_group_name, qm_structure, root_system
 from .sl2 import EvalResult, eval_expr, tensor_jordan, weyl_jordan
 
@@ -54,6 +55,7 @@ def _cmd_jordan(args) -> int:
     e = parse_expr(args.expr)
     res = eval_expr(e, args.p)
     if args.oracle:
+        from .oracle import oracle_eval
         got = oracle_eval(e, args.p, args.dim_cap)
         if got != res.jordan:
             print(f"oracle mismatch: closed form {res.jordan}, oracle {got}",
@@ -165,7 +167,11 @@ def _cmd_identify(args) -> int:
     else:
         table = bundled_table()
     e = parse_expr(args.expr)
-    jt, result = identify_from_expr(table, args.group, args.p, e, args.module)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        jt, result = identify_from_expr(table, args.group, args.p, e, args.module)
+    for w in caught:  # one line each, without the source location
+        print(f"warning: {w.message}", file=sys.stderr)
     payload = {"dim": jt.dim, "jordan": jt.as_pairs()}
     if result:
         payload["label"] = result.label
@@ -184,14 +190,22 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
+    from .oracle import oracle_certificate
     e = parse_expr(args.expr)
     cert = oracle_certificate(e, args.p, args.dim_cap)
     print(json.dumps(cert))
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line; ``-h`` shows the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog=PROG,
         description="Exact Jordan-type calculus for order-p unipotent elements")
     sub = top.add_subparsers(dest="command", required=True)

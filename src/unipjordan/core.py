@@ -17,6 +17,11 @@ class DomainError(ValueError):
     """Invalid input to one of the calculus operations."""
 
 
+# Default cap on the matrix dimension the GF(p) oracle will build; kept
+# here so that the CLI can offer it without loading the oracle.
+DEFAULT_DIM_CAP = 4096
+
+
 # The first twelve primes: as Miller-Rabin bases they decide every n below
 # PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

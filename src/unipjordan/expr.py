@@ -8,6 +8,8 @@ Grammar (whitespace insignificant)::
     atom   := ('L'|'V'|'T') '(' nat ')' | '(' expr ')'
     suffix := '^*' | '[' nat ']'        (twist exponent >= 1)
 
+Expressions nested deeper than MAX_DEPTH levels are refused.
+
 '+' is direct sum, '*' is tensor product, '^*' is the dual and '[k]' the
 k-th Frobenius twist; both suffixes bind tighter than '*'.  '+' and '*'
 associate to the left.  Rendering is the inverse of parsing on ASTs.
@@ -21,6 +23,11 @@ from typing import Union
 from .core import DomainError
 
 ATOM_KINDS = ("L", "V", "T")
+
+# Deepest expression the parser accepts, counting operator nodes and
+# parentheses.  Evaluation, rendering and the oracle recurse on the tree,
+# so the bound keeps them well inside the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = 0  # parentheses open at self.pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -100,22 +108,32 @@ class _Parser:
             raise ParseError("expected a number", start)
         return int(self.text[start:self.pos])
 
-    def expr(self) -> ModuleExpr:
-        node = self.term()
+    def deeper(self, depth: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self.pos)
+        return depth + 1
+
+    # Each method returns (node, depth); depth counts operator nodes and
+    # parentheses on the deepest path.
+
+    def expr(self) -> tuple[ModuleExpr, int]:
+        node, depth = self.term()
         while self.peek() == "+":
             self.pos += 1
-            node = Sum(node, self.term())
-        return node
+            right, d = self.term()
+            node, depth = Sum(node, right), self.deeper(max(depth, d))
+        return node, depth
 
-    def term(self) -> ModuleExpr:
-        node = self.factor()
+    def term(self) -> tuple[ModuleExpr, int]:
+        node, depth = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            node = Tensor(node, self.factor())
-        return node
+            right, d = self.factor()
+            node, depth = Tensor(node, right), self.deeper(max(depth, d))
+        return node, depth
 
-    def factor(self) -> ModuleExpr:
-        node = self.atom()
+    def factor(self) -> tuple[ModuleExpr, int]:
+        node, depth = self.atom()
         while True:
             ch = self.peek()
             if ch == "^":
@@ -124,7 +142,7 @@ class _Parser:
                 if self.pos >= len(self.text) or self.text[self.pos] != "*":
                     raise ParseError("expected '*' after '^'", at)
                 self.pos += 1
-                node = Dual(node)
+                node, depth = Dual(node), self.deeper(depth)
             elif ch == "[":
                 at = self.pos
                 self.pos += 1
@@ -132,30 +150,32 @@ class _Parser:
                 self.expect("]")
                 if k < 1:
                     raise ParseError("twist exponent must be >= 1", at)
-                node = Twist(node, k)
+                node, depth = Twist(node, k), self.deeper(depth)
             else:
-                return node
+                return node, depth
 
-    def atom(self) -> ModuleExpr:
+    def atom(self) -> tuple[ModuleExpr, int]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            self.open = self.deeper(self.open)  # refuse before recursing
+            node, depth = self.expr()
             self.expect(")")
-            return node
+            self.open -= 1
+            return node, self.deeper(depth)
         if ch in ATOM_KINDS:
             self.pos += 1
             self.expect("(")
             w = self.nat()
             self.expect(")")
-            return Atom(ch, w)
+            return Atom(ch, w), 0
         raise ParseError("expected 'L', 'V', 'T' or '('", self.pos)
 
 
 def parse_expr(text: str) -> ModuleExpr:
     """Parse a module expression, raising ParseError on bad syntax."""
     p = _Parser(text)
-    node = p.expr()
+    node, _ = p.expr()
     p.skip_ws()
     if p.pos != len(text):
         raise ParseError("trailing input", p.pos)

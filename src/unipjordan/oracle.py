@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, JordanType, base_p_digits, check_prime
+from .core import DEFAULT_DIM_CAP, DomainError, JordanType, base_p_digits, check_prime
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist, render_expr
-
-DEFAULT_DIM_CAP = 4096
 
 _BLOCK = 128
 _MUL_CHUNKS = 8

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, JSON schema, exit codes."""
 
 import json
+import random
+import time
 
 import pytest
 
@@ -55,6 +57,8 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(": error: " in line for line in err)
 
 
 def test_tensor(capsys):
@@ -225,3 +229,85 @@ def test_oracle_verify(capsys):
 def test_oracle_verify_dim_cap(capsys):
     code, _, err = run(capsys, "oracle-verify", "-p", "5", "--dim-cap", "10", "V(99)")
     assert code == 1 and "cap" in err
+
+
+def test_identify_dimension_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "identify", "-p", "5", "--group", "E6",
+                         "--expr", "L(0)")
+    assert code == 0 and out.splitlines()[0] == "NotFound"
+    assert err.splitlines() == ["warning: expression dimension 1 does not match "
+                                "the adjoint module of E6 (dimension 78)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jordan", "-p", "2", "(" * 3000 + "L(1)" + ")" * 3000],
+    ["jordan", "-p", "2", "+".join(["L(1)"] * 3000)],
+    ["jordan", "-p", "2", "*".join(["L(1)"] * 1200)],
+    ["qm", "-p", "5", "--group", "A100"],
+    ["identify", "-p", "5", "--group", "A2000", "--expr", "L(1)"],
+])
+def test_deep_expressions_and_large_ranks_refused(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _fuzz_argv(rng):
+    """One random command line: expression noise, huge numbers, deep
+    nesting, huge ranks and malformed partitions."""
+    p = str(rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]))
+
+    def num():
+        if rng.random() < 0.3:
+            return str(rng.randrange(40))
+        return str(rng.choice([-1, 1]) * rng.randrange(10 ** rng.randrange(1, 60)))
+
+    def noise(alphabet, n):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(n)))
+
+    tokens = ["L(", "V(", "T(", "(", ")", ")", "+", "*", "^*", "[", "]", "^",
+              num(), num(), " "]
+    expr = rng.choice([
+        noise("LVT()+*^[]0123456789 ", 30),
+        "".join(rng.choice(tokens) for _ in range(rng.randrange(1, 20))),
+        rng.choice("+*").join([f"{rng.choice('LVT')}({rng.randrange(50)})"]
+                              * rng.randrange(90, 130)),
+        "(" * rng.randrange(90, 300) + "L(1)" + ")" * rng.randrange(90, 300),
+        "L(3)" + "^*" * rng.randrange(90, 130),
+    ])
+    partition = rng.choice([noise("0123456789^, x.-", 12), f"{num()}^{num()}",
+                            " ".join(str(rng.randrange(1, 40)) for _ in range(5))])
+    group = rng.choice(["E6", "E7", "E8", "F4", "G2", noise("0123456789.-x", 4),
+                        rng.choice("ABCDEFGHZ") + num()])
+    return rng.choice([
+        ["jordan", "-p", p, expr],
+        ["weyl", "-p", p, num()],
+        ["tensor", "-p", p, num(), num()],
+        ["tilting", "-p", p, num()],
+        ["ext", "-p", p, num(), num()],
+        ["classify-ext", "-p", p, num(), num()],
+        ["enumerate", "-p", p, partition],
+        ["semisimple", "-p", p, partition],
+        ["distinguished", "-p", p, "--group", rng.choice(["SL", "Sp", "SO"]),
+         "--dim", num(), partition],
+        ["lift-bd", "-p", "2", partition],
+        ["qm", "-p", p, "--group", group],
+        ["identify", "-p", p, "--group", group, "--expr", expr],
+    ])
+
+
+def test_cli_fuzz(capsys):
+    # Human output and p <= 37 only: JSON characters with millions of
+    # weights, and tensors of huge blocks at a huge p, are still too large.
+    rng = random.Random(20261018)
+    start = time.perf_counter()
+    for _ in range(800):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert len(err.splitlines()) <= 1, (argv, err)
+    assert time.perf_counter() - start < 10

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import rand_expr
 from unipjordan.expr import (
+    MAX_DEPTH,
     Atom,
     Dual,
     ParseError,
@@ -15,6 +16,7 @@ from unipjordan.expr import (
     parse_expr,
     render_expr,
 )
+from unipjordan.sl2 import eval_expr
 
 
 def test_parse_atoms_and_suffixes():
@@ -82,3 +84,24 @@ def test_render_round_trip_randomized():
     for _ in range(2000):
         e = rand_expr(rng, depth=rng.randrange(0, 5), p=5)
         assert parse_expr(render_expr(e)) == e
+
+
+def test_depth_bound():
+    at_bound = [
+        "(" * MAX_DEPTH + "L(1)" + ")" * MAX_DEPTH,
+        "+".join(["L(1)"] * (MAX_DEPTH + 1)),
+        "*".join(["L(1)"] * (MAX_DEPTH + 1)),
+        "L(1)" + "^*" * MAX_DEPTH,
+        "L(1)" + "[1]" * MAX_DEPTH,
+    ]
+    for text in at_bound:
+        e = parse_expr(text)
+        assert parse_expr(render_expr(e)) == e
+        res = eval_expr(e, 2)
+        assert res.character.dim == res.dim
+        with pytest.raises(ParseError):
+            parse_expr(f"({text})")
+    for text in ["+".join(["L(1)"] * (MAX_DEPTH + 2)), "L(1)" + "^*" * (MAX_DEPTH + 1),
+                 "(" * 3000 + "L(1)" + ")" * 3000, "*".join(["L(1)"] * 1200)]:
+        with pytest.raises(ParseError):
+            parse_expr(text)

@@ -4,6 +4,7 @@ import pytest
 
 from unipjordan.core import DomainError
 from unipjordan.rootdata import (
+    MAX_CLASSICAL_RANK,
     adjoint_dimension,
     module_dimension,
     parse_group_name,
@@ -38,9 +39,30 @@ def test_positive_roots_have_nonnegative_coefficients():
             assert any(c > 0 for c in coeffs)
 
 
+def test_simple_reflections_permute_the_roots():
+    # checked without the root strings: each s_i(b) = b - <b, a_i^> a_i
+    # maps the roots into (so onto) themselves, and each root's
+    # coordinates are its coefficients applied to the simple roots
+    for letter, rank in ALL_SYSTEMS:
+        rs = root_system(letter, rank)
+        for v, c in zip(rs.positive_roots, rs.positive_coeffs):
+            assert v == tuple(sum(cj * s[k] for cj, s in zip(c, rs.simple_roots))
+                              for k in range(len(v)))
+        roots = set(rs.positive_roots) | {tuple(-x for x in v) for v in rs.positive_roots}
+        for a, norm in zip(rs.simple_roots, rs.simple_norms):
+            for v in roots:
+                twice = 2 * sum(x * y for x, y in zip(v, a))
+                assert twice % norm == 0
+                assert tuple(x - twice // norm * y for x, y in zip(v, a)) in roots
+
+
 def test_rank_bounds_enforced():
+    for letter in "ABCD":
+        assert root_system(letter, MAX_CLASSICAL_RANK).rank == MAX_CLASSICAL_RANK
     for letter, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 3),
-                         ("E", 5), ("E", 9), ("F", 3), ("G", 3)]:
+                         ("E", 5), ("E", 9), ("F", 3), ("G", 3),
+                         ("A", MAX_CLASSICAL_RANK + 1), ("B", MAX_CLASSICAL_RANK + 1),
+                         ("C", MAX_CLASSICAL_RANK + 1), ("D", 10 ** 30)]:
         with pytest.raises(DomainError):
             root_system(letter, rank)
     with pytest.raises(DomainError):
