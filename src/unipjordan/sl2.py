@@ -69,16 +69,39 @@ def tensor_jordan_types(a: JordanType, b: JordanType) -> JordanType:
     """Bilinear extension of tensor_jordan to whole Jordan types.
 
     Valid because u acts diagonally on a tensor product, so the type of
-    (A (x) B) is the multiset union over all block pairs.
+    (A (x) B) is the multiset union over all block pairs.  Each pair adds
+    the step-2 run of tensor_jordan's h sizes, recorded as a difference
+    array (+w at its first size, -w past its last), plus its N blocks of
+    size p; one prefix sweep per parity then reads off every size, in
+    O(|a| |b| + number of sizes) rather than O(|a| |b| h).
     """
     if a.p != b.p:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
-    acc: dict[int, int] = {}
+    p = a.p
+    largest = max(a.max_size, b.max_size)
+    if largest > p:
+        raise DomainError(f"block sizes must be within [1, {p}]: got {largest}")
+    diff: tuple[dict[int, int], dict[int, int]] = ({}, {})  # by parity of size
+    full = 0
     for s1, m1 in a.blocks:
         for s2, m2 in b.blocks:
-            for sz, mult in tensor_jordan(s1, s2, a.p).blocks:
-                acc[sz] = acc.get(sz, 0) + mult * m1 * m2
-    return JordanType.from_blocks(acc.items(), a.p)
+            m, n = (s1, s2) if s1 <= s2 else (s2, s1)
+            w = m1 * m2
+            first = n - m + 1
+            d = diff[first & 1]
+            d[first] = d.get(first, 0) + w
+            stop = first + 2 * min(m, p - n)
+            d[stop] = d.get(stop, 0) - w
+            full += max(0, m + n - p) * w
+    pairs = [(p, full)]
+    for d in diff:
+        keys = sorted(d)
+        run = 0
+        for size, nxt in zip(keys, keys[1:]):
+            run += d[size]
+            if run:
+                pairs.extend((s, run) for s in range(size, nxt, 2))
+    return JordanType.from_blocks(pairs, p)
 
 
 def weyl_jordan(m: int, p: int) -> JordanType:

@@ -87,6 +87,16 @@ def test_weyl_large_prime(capsys):
     assert code == 1 and len(err.strip().splitlines()) == 1
 
 
+def test_jordan_tensor_at_large_prime(capsys):
+    # 90601 block pairs below a huge p; the answer has 604 distinct sizes
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "jordan", "-p", "1000000007", "(V(300)*V(301))*(V(302)*V(303))")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    t = parse_partition(out.strip(), 1000000007)
+    assert t.dim == 301 * 302 * 303 * 304 and len(t.blocks) == 604
+
+
 # Dimensions from the Weyl formula and from Donkin's tensor-twist recursion
 # worked separately; none of these needs a character.
 @pytest.mark.parametrize("expr, dim", [("V(3000000)", 3000001),

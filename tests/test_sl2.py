@@ -85,6 +85,29 @@ class TestTensorJordanTypes:
     def test_characteristic_mismatch(self):
         with pytest.raises(DomainError):
             tensor_jordan_types(JordanType.from_sizes([2], 2), JordanType.from_sizes([2], 3))
+        with pytest.raises(DomainError):  # a block larger than p
+            tensor_jordan_types(JordanType.from_sizes([4], 3), JordanType.from_sizes([2], 3))
+
+    def test_difference_arrays_match_per_pair_expansion(self):
+        def per_pair(a, b):
+            acc = {}
+            for s1, m1 in a.blocks:
+                for s2, m2 in b.blocks:
+                    for size, mult in tensor_jordan(s1, s2, a.p).blocks:
+                        acc[size] = acc.get(size, 0) + mult * m1 * m2
+            return JordanType.from_blocks(acc.items(), a.p)
+
+        rng = random.Random(11)
+        primes = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
+        for _ in range(3000):
+            p = rng.choice(primes)
+
+            def rand_type():
+                return JordanType.from_blocks(
+                    [(rng.randint(1, p), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))], p)
+
+            a, b = rand_type(), rand_type()
+            assert tensor_jordan_types(a, b) == per_pair(a, b), (a, b)
 
 
 class TestWeylJordan:
