@@ -47,7 +47,7 @@ def _emit_result(args, res: EvalResult, human: str):
     """Emit dimension and Jordan type; under --json, build the character too."""
     payload = {"dim": res.dim, "jordan": res.jordan.as_pairs()}
     if args.json:
-        payload["character"] = [[w, m] for w, m in res.character.items]
+        payload["character"] = res.character.items
     _emit(args, payload, human)
 
 

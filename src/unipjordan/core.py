@@ -123,13 +123,6 @@ class JordanType:
     def max_size(self) -> int:
         return self.blocks[0][0] if self.blocks else 0
 
-    def sizes(self) -> list[int]:
-        """Block sizes expanded with multiplicity, descending."""
-        out = []
-        for s, m in self.blocks:
-            out.extend([s] * m)
-        return out
-
     def add(self, other: "JordanType") -> "JordanType":
         """Direct sum of Jordan types."""
         if other.p != self.p:

@@ -9,16 +9,19 @@ coordinate systems are scaled by 2 so every root is an integer vector
 (the Weyl dimension formula only uses scale-invariant ratios).  E7 and
 E6 take the first 7 and 6 simple roots of the E8 table.
 
-The quasi-minuscule weight of a system is its highest short root; its
-Weyl module carries zero, one or two trivial composition factors
-depending on (type, rank, p), and the corresponding tilting module adds
-the same number of trivials on top.
+The Cartan matrix is computed once from the table and kept on the
+root system; the root strings, the Weyl dimension formula and the
+quasi-minuscule data are integer computations on it.  The
+quasi-minuscule weight of a system is its highest short root.  Its Weyl
+module has as many trivial composition factors as the corank mod p of
+the Cartan matrix restricted to the short simple roots (all simple
+roots in the simply laced types): zero, one or two.  The corresponding
+tilting module adds the same number of trivials on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import DomainError, check_prime
@@ -78,7 +81,8 @@ def _add(u, v) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(u, v))
 
 
-def _positive_roots(simple: list[list[int]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _positive_roots(simple: list[list[int]],
+                    cartan: list[list[int]]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map the coefficients of each positive root on the simple roots to
     its coordinates, in order of height, by root strings (Humphreys,
     Introduction to Lie Algebras and Representation Theory, 9.4 and 10.2).
@@ -90,8 +94,6 @@ def _positive_roots(simple: list[list[int]]) -> dict[tuple[int, ...], tuple[int,
     one pass per height finds them all.
     """
     rank = len(simple)
-    # cartan[j][i] = <a_j, a_i^> = 2 (a_j, a_i) / (a_i, a_i)
-    cartan = [[2 * _dot(a, b) // _dot(b, b) for b in simple] for a in simple]
     pairings = {}  # positive root -> (<b, a_i^> for every i)
     coords = {}
     for i in range(rank):
@@ -123,7 +125,7 @@ class RootSystem:
     positive_roots[i] is an integer coordinate vector;
     positive_coeffs[i] its non-negative integer coefficients on the
     simple roots; norms are squared lengths in the (possibly scaled)
-    coordinate system.
+    coordinate system; cartan[i][j] = <a_i, a_j^> = 2 (a_i, a_j) / (a_j, a_j).
     """
 
     letter: str
@@ -132,6 +134,7 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     positive_coeffs: tuple[tuple[int, ...], ...]
     simple_norms: tuple[int, ...]
+    cartan: tuple[tuple[int, ...], ...]
 
     @property
     def name(self) -> str:
@@ -150,11 +153,10 @@ def parse_group_name(name: str) -> tuple[str, int]:
     name = name.strip()
     if len(name) < 2 or name[0].upper() not in RANK_BOUNDS:
         raise DomainError(f"bad group name {name!r} (expected e.g. 'E6', 'B3')")
-    try:
-        rank = int(name[1:])
-    except ValueError as exc:
-        raise DomainError(f"bad group name {name!r}") from exc
-    return name[0].upper(), rank
+    digits = name[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError(f"bad group name {name!r}")
+    return name[0].upper(), int(digits)
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +170,8 @@ def root_system(letter: str, rank: int) -> RootSystem:
         raise DomainError(f"rank {rank} out of range for type {letter} ({lo} to {hi})")
 
     simple = _simple_roots(letter, rank)
-    roots = _positive_roots(simple)
+    cartan = [[2 * _dot(a, b) // _dot(b, b) for b in simple] for a in simple]
+    roots = _positive_roots(simple, cartan)
 
     expected = POSITIVE_ROOT_COUNTS[letter](rank)
     if len(roots) != expected:
@@ -176,53 +179,43 @@ def root_system(letter: str, rank: int) -> RootSystem:
             f"{letter}{rank}: found {len(roots)} positive roots, expected {expected}")
     norms = tuple(_dot(s, s) for s in simple)
     return RootSystem(letter, rank, tuple(tuple(s) for s in simple),
-                      tuple(roots.values()), tuple(roots), norms)
+                      tuple(roots.values()), tuple(roots), norms,
+                      tuple(tuple(row) for row in cartan))
 
 
 def weyl_dim(rs: RootSystem, weight: tuple[int, ...]) -> int:
-    """Weyl dimension formula in exact rational arithmetic.
+    """Weyl dimension formula in integer arithmetic.
 
     ``weight`` holds the coefficients of the fundamental weights.  For a
-    positive root a = sum n_j a_j, the pairing <w_i, a^> equals
-    n_i |a_i|^2 / |a|^2, so every factor is a ratio of small integers.
+    positive root a = sum n_j a_j, the pairing <w_j, a^> equals
+    n_j |a_j|^2 / |a|^2; the norm |a|^2 cancels from each factor
+    <lambda + rho, a^> / <rho, a^>, which leaves two integer sums.
     """
     if len(weight) != rs.rank:
         raise DomainError(f"weight has {len(weight)} coordinates, rank is {rs.rank}")
     if any(c < 0 for c in weight):
         raise DomainError(f"weight must be dominant (non-negative), got {weight}")
-    num = Fraction(1)
-    for idx, coeff in enumerate(rs.positive_coeffs):
-        norm = rs.root_norm(idx)
-        lam_plus_rho = sum((weight[j] + 1) * coeff[j] * rs.simple_norms[j]
-                           for j in range(rs.rank))
-        rho = sum(coeff[j] * rs.simple_norms[j] for j in range(rs.rank))
-        num *= Fraction(lam_plus_rho, norm) / Fraction(rho, norm)
-    if num.denominator != 1:
-        raise RuntimeError(f"Weyl dimension came out non-integral: {num}")
-    return int(num)
+    shifted = [(c + 1) * n for c, n in zip(weight, rs.simple_norms)]
+    num = den = 1
+    for coeff in rs.positive_coeffs:
+        num *= _dot(coeff, shifted)
+        den *= _dot(coeff, rs.simple_norms)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(f"Weyl dimension came out non-integral: {num}/{den}")
+    return dim
 
 
 def quasi_minuscule_weight(rs: RootSystem) -> tuple[int, ...]:
     """The quasi-minuscule weight: the highest short root, in
-    fundamental-weight coordinates."""
-    min_norm = min(rs.root_norm(i) for i in range(rs.num_positive_roots))
-    best = None
-    best_height = -1
-    for i in range(rs.num_positive_roots):
-        if rs.root_norm(i) != min_norm:
-            continue
-        height = sum(rs.positive_coeffs[i])
-        if height > best_height:
-            best_height = height
-            best = rs.positive_roots[i]
-    # express in fundamental weights: c_i = 2 <a, a_i> / |a_i|^2
-    out = []
-    for j in range(rs.rank):
-        c = Fraction(2 * _dot(best, rs.simple_roots[j]), rs.simple_norms[j])
-        if c.denominator != 1 or c < 0:
-            raise RuntimeError(f"highest short root not dominant-integral: {best}")
-        out.append(int(c))
-    return tuple(out)
+    fundamental-weight coordinates c_j = <b, a_j^> = sum_i n_i <a_i, a_j^>."""
+    shortest = min(rs.simple_norms)  # every root is W-conjugate to a simple root
+    best = max((c for i, c in enumerate(rs.positive_coeffs) if rs.root_norm(i) == shortest),
+               key=sum)
+    out = tuple(_dot(best, col) for col in zip(*rs.cartan))
+    if any(c < 0 for c in out):
+        raise RuntimeError(f"highest short root not dominant: {best}")
+    return out
 
 
 def weight_name(weight: tuple[int, ...]) -> str:
@@ -237,30 +230,24 @@ def weight_name(weight: tuple[int, ...]) -> str:
 
 def _trivial_count(rs: RootSystem, p: int) -> int:
     """Number of trivial composition factors of the quasi-minuscule Weyl
-    module, by type and characteristic."""
-    l = rs.rank
-    letter = rs.letter
-    if letter == "A":
-        return 1 if (l + 1) % p == 0 else 0
-    if letter == "B":
-        return 1 if p == 2 else 0
-    if letter == "C":
-        return 1 if l % p == 0 else 0
-    if letter == "D":
-        if p != 2:
-            return 0
-        return 2 if l % 2 == 0 else 1
-    if letter == "G":
-        return 1 if p == 2 else 0
-    if letter == "F":
-        return 1 if p == 3 else 0
-    if letter == "E":
-        if rs.rank == 6:
-            return 1 if p == 3 else 0
-        if rs.rank == 7:
-            return 1 if p == 2 else 0
-        return 0
-    raise DomainError(f"unknown type {letter!r}")
+    module: the corank mod p of the Cartan matrix restricted to the short
+    simple roots, by Gaussian elimination over GF(p)."""
+    shortest = min(rs.simple_norms)
+    short = [i for i, n in enumerate(rs.simple_norms) if n == shortest]
+    rows = [[rs.cartan[i][j] % p for j in short] for i in short]
+    rank = 0
+    for col in range(len(short)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return len(short) - rank
 
 
 STRUCTURE_NAMES = {0: "Irreducible", 1: "OneTrivial", 2: "TwoTrivial"}

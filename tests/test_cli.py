@@ -262,6 +262,22 @@ def test_deep_expressions_and_large_ranks_refused(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["jordan", "-p", "5", "V(\u00b2)"],                 # superscript two
+    ["jordan", "-p", "5", "V(3)[\u00b2]"],
+    ["jordan", "-p", "5", "L(\u0663)"],                 # Arabic-Indic three
+    ["qm", "-p", "5", "--group", "A1_0"],
+    ["qm", "-p", "5", "--group", "E\u0668"],            # Arabic-Indic eight
+    ["qm", "-p", "5", "--group", "E+8"],
+    ["qm", "-p", "5", "--group", "A 3"],
+    ["identify", "-p", "5", "--group", "E\u0666", "--expr", "L(1)"],
+])
+def test_only_ascii_digits_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def _fuzz_argv(rng):
     """One random command line: expression noise, huge numbers, deep
     nesting, huge ranks and malformed partitions."""

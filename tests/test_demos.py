@@ -1,0 +1,22 @@
+"""The demo scripts run to completion without writing to stderr."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import unipjordan
+
+SRC = str(Path(unipjordan.__file__).resolve().parents[1])
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, str(DEMOS / script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

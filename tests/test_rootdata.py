@@ -5,6 +5,8 @@ import pytest
 from unipjordan.core import DomainError
 from unipjordan.rootdata import (
     MAX_CLASSICAL_RANK,
+    RANK_BOUNDS,
+    _trivial_count,
     adjoint_dimension,
     module_dimension,
     parse_group_name,
@@ -143,6 +145,56 @@ def test_weyl_dim_natural_modules():
     assert weyl_dim(root_system("A", 2), (1, 1)) == 8
 
 
+def tabulated_trivial_count(letter: str, rank: int, p: int) -> int:
+    """Trivial composition factors of the quasi-minuscule Weyl module, by
+    type, rank and characteristic, as tabulated case by case."""
+    if letter == "A":
+        return 1 if (rank + 1) % p == 0 else 0
+    if letter in ("B", "G"):
+        return 1 if p == 2 else 0
+    if letter == "C":
+        return 1 if rank % p == 0 else 0
+    if letter == "D":
+        return (2 if rank % 2 == 0 else 1) if p == 2 else 0
+    if letter == "F":
+        return 1 if p == 3 else 0
+    return {6: int(p == 3), 7: int(p == 2), 8: 0}[rank]  # E
+
+
+PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+
+
+def test_trivial_count_is_the_short_cartan_corank():
+    for letter, (lo, hi) in RANK_BOUNDS.items():
+        for rank in range(lo, hi + 1):
+            rs = root_system(letter, rank)
+            for p in PRIMES_BELOW_100:
+                assert _trivial_count(rs, p) == tabulated_trivial_count(letter, rank, p), \
+                    (rs.name, p)
+
+
+def test_cartan_matrix_entries():
+    # checked on the stored matrix alone, without the root strings
+    for letter, rank in ALL_SYSTEMS:
+        rs = root_system(letter, rank)
+        c, norms = rs.cartan, rs.simple_norms
+        assert len(c) == rank and all(len(row) == rank for row in c)
+        for i in range(rank):
+            assert c[i][i] == 2
+            for j in range(rank):
+                if i != j:
+                    assert c[i][j] <= 0
+                    assert (c[i][j] == 0) == (c[j][i] == 0)
+                # (a_i, a_j) is symmetric
+                assert c[i][j] * norms[j] == c[j][i] * norms[i]
+
+
+def test_cartan_matrix_of_g2_and_f4():
+    assert root_system("G", 2).cartan == ((2, -1), (-3, 2))
+    assert root_system("F", 4).cartan == ((2, -1, 0, 0), (-1, 2, -2, 0),
+                                          (0, -1, 2, -1), (0, 0, -1, 2))
+
+
 class TestQmStructure:
     def test_f4(self):
         q = qm_structure(root_system("F", 4), 3)
@@ -224,6 +276,6 @@ def test_module_dimension_tags():
 def test_parse_group_name():
     assert parse_group_name("E6") == ("E", 6)
     assert parse_group_name("d12") == ("D", 12)
-    for bad in ("E", "6E", "Q4", "Ex"):
+    for bad in ("E", "6E", "Q4", "Ex", "A1_0", "E+8", "E\u0668", "A 3", "B\u00b2"):
         with pytest.raises(DomainError):
             parse_group_name(bad)
