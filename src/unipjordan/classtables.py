@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DomainError, JordanType, check_prime, parse_blocks, render_blocks
+from .core import DomainError, JordanType, check_prime, parse_blocks, parse_int, render_blocks
 from .expr import ModuleExpr
 from .rootdata import module_dimension, parse_group_name
 from .sl2 import EvalResult, eval_expr
@@ -91,7 +91,7 @@ def load_class_table(path) -> ClassTable:
                 p = None
             else:
                 try:
-                    p = check_prime(int(p_str))
+                    p = check_prime(parse_int(p_str))
                 except (ValueError, DomainError) as exc:
                     raise TableFormatError(
                         f"{path}:{lineno}: bad characteristic {p_str!r}") from exc

@@ -20,7 +20,7 @@ import sys
 import warnings
 
 from .classtables import bundled_table, identify_from_expr, load_class_table
-from .core import DEFAULT_DIM_CAP, DomainError, parse_partition, render_blocks
+from .core import DEFAULT_DIM_CAP, DomainError, parse_int, parse_partition, render_blocks
 from .distinguished import is_distinguished, lift_quotient_to_orthogonal
 from .expr import Atom, parse_expr
 from .extclassify import (
@@ -204,6 +204,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """argparse type for integer arguments: ASCII digits only."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog=PROG,
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(fn=fn)
         if prime:
-            sp.add_argument("-p", type=int, required=True, metavar="PRIME",
+            sp.add_argument("-p", type=_integer, required=True, metavar="PRIME",
                             help="prime characteristic")
         if jsonflag:
             sp.add_argument("--json", action="store_true", help="JSON output")
@@ -224,26 +232,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("expr")
     sp.add_argument("--oracle", action="store_true",
                     help="re-verify through the matrix oracle (T-free only)")
-    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+    sp.add_argument("--dim-cap", type=_integer, default=DEFAULT_DIM_CAP)
 
     sp = add("tensor", _cmd_tensor, "Jordan type of J_m tensor J_n")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
+    sp.add_argument("m", type=_integer)
+    sp.add_argument("n", type=_integer)
 
     sp = add("weyl", _cmd_weyl, "Jordan type of the Weyl module V(m)")
-    sp.add_argument("m", type=int)
+    sp.add_argument("m", type=_integer)
 
     sp = add("tilting", _cmd_tilting, "Jordan type and dimension of T(c)")
-    sp.add_argument("c", type=int)
+    sp.add_argument("c", type=_integer)
 
     sp = add("ext", _cmd_ext, "Is Ext^1(L(lambda), L(mu)) nonzero?")
-    sp.add_argument("lam", type=int, metavar="lambda")
-    sp.add_argument("mu", type=int)
+    sp.add_argument("lam", type=_integer, metavar="lambda")
+    sp.add_argument("mu", type=_integer)
 
     sp = add("classify-ext", _cmd_classify_ext,
              "Classify the nonsplit extension of L(lambda) by L(mu)")
-    sp.add_argument("lam", type=int, metavar="lambda")
-    sp.add_argument("mu", type=int)
+    sp.add_argument("lam", type=_integer, metavar="lambda")
+    sp.add_argument("mu", type=_integer)
 
     sp = add("enumerate", _cmd_enumerate,
              "Indecomposable-module families with a given Jordan type")
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
              "Distinguishedness of a unipotent Jordan type in SL/Sp/SO")
     sp.add_argument("partition")
     sp.add_argument("--group", required=True, choices=("SL", "Sp", "SO"))
-    sp.add_argument("--dim", type=int, required=True, help="dimension of the space")
+    sp.add_argument("--dim", type=_integer, required=True, help="dimension of the space")
     sp.add_argument("--witness", action="store_true",
                     help="attest that an orthogonal decomposition exists (p = 2)")
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
              "Oracle certificate (rank sequence) for a T-free expression",
              jsonflag=False)
     sp.add_argument("expr")
-    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+    sp.add_argument("--dim-cap", type=_integer, default=DEFAULT_DIM_CAP)
 
     return top
 

@@ -142,6 +142,20 @@ def render_blocks(blocks) -> str:
     return " ".join(f"{s}^{m}" if m > 1 else str(s) for s, m in blocks)
 
 
+def parse_int(text: str) -> int:
+    """A decimal integer with an optional sign, written in ASCII digits.
+
+    int() also reads other Unicode decimal digits and underscores
+    ("\u0665", "1_0"); numeric input is read here instead.  Raises
+    ValueError otherwise.
+    """
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}: ASCII digits only")
+    return int(s)
+
+
 def parse_blocks(text: str) -> list[tuple[int, int]]:
     """Parse a partition in any of the accepted command-line forms into
     (size, multiplicity) pairs, in the order written.
@@ -154,9 +168,9 @@ def parse_blocks(text: str) -> list[tuple[int, int]]:
         try:
             if "^" in tok:
                 s_str, m_str = tok.split("^", 1)
-                pairs.append((int(s_str), int(m_str)))
+                pairs.append((parse_int(s_str), parse_int(m_str)))
             else:
-                pairs.append((int(tok), 1))
+                pairs.append((parse_int(tok), 1))
         except ValueError as exc:
             raise DomainError(f"bad partition token {tok!r} in {text!r}") from exc
     for s, m in pairs:

@@ -6,15 +6,18 @@ builds the unipotent element as an explicit matrix over the prime field
 matrices for irreducibles) and reads the Jordan type off the rank
 sequence of powers of (M - I).  Nothing here consults the closed forms.
 
-Rank computation is exact Gaussian elimination over GF(p) in numpy:
-one blocked kernel whose panels settle many pivots per vectorized round
-and whose trailing updates are BLAS matrix products in floating point
-with delayed modular reduction.  _float_dtype picks float32 or float64
-so that every intermediate integer provably stays exact.
+Rank computation is exact Gaussian elimination over GF(p) in numpy: one
+blocked kernel whose panels reduce each row against all pivots at once
+and whose trailing updates are BLAS products in floating point with
+delayed modular reduction, in the float type that _float_dtype proves
+exact.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,25 +73,55 @@ def pascal_matrix(m: int, p: int) -> FpMatrix:
 
     This is the matrix of the unipotent [[1,1],[0,1]] acting on the m-th
     symmetric power of the natural 2-dimensional module, in the monomial
-    basis.
+    basis.  By Lucas' theorem it is the leading (m+1)-block of
+    kron(Pascal(h-1), Pascal(q-1)) for q the largest power of p below
+    m + 1 and h = ceil((m+1)/q), and Pascal(q-1) is built the same way;
+    only the p x p digit block is summed row by row.
     """
     check_prime(p)
     if m < 0:
         raise DomainError(f"degree must be >= 0, got {m}")
-    P = np.zeros((m + 1, m + 1), dtype=np.int64)
-    P[0] = 1
-    for i in range(1, m + 1):
-        # C(j, i) = C(j-1, i-1) + C(j-1, i): each row is a running sum of
-        # the previous one, shifted right.
-        P[i, i:] = np.cumsum(P[i - 1, i - 1:m]) % p
+    n = m + 1
+    d = min(n, p)
+    D = np.zeros((d, d), dtype=np.int64)
+    D[0] = 1
+    for i in range(1, d):  # C(j, i) = C(j-1, i-1) + C(j-1, i)
+        D[i, i:] = np.cumsum(D[i - 1, i - 1:d - 1]) % p
+    P = D
+    while P.shape[0] < n:
+        h = min(p, -(-n // P.shape[0]))
+        P = _kron_lead(D[:h, :h], P, p, (min(n, h * P.shape[0]),) * 2)
     return FpMatrix(P, p)
+
+
+def _kron_lead(x: np.ndarray, y: np.ndarray, p: int, shape=None) -> np.ndarray:
+    """Leading block of the given shape of kron(x, y) mod p, all of it by default.
+
+    Loops over the entries of the smaller factor; each distinct entry c
+    makes one multiple c * (other factor), reduced by _reduce in floating
+    point rather than by an int64 remainder, and copies it into place.
+    """
+    ry, cy = y.shape
+    out = np.zeros(shape or (x.shape[0] * ry, x.shape[1] * cy), dtype=np.int64)
+    small, big = (x, y) if x.size <= y.size else (y, x)
+    multiples = {1: big}
+    for i, j in zip(*np.nonzero(small)):
+        c = int(small[i, j])
+        if c not in multiples:
+            prod = _reduce(np.multiply(big, c, dtype=_float_dtype(1, p)), p)
+            multiples[c] = prod.astype(np.int64)
+        # x[i, j] scales y into one block; y[i, j] scales x into a grid
+        block = (out[i * ry:(i + 1) * ry, j * cy:(j + 1) * cy] if small is x
+                 else out[i::ry, j::cy])
+        block[...] = multiples[c][:block.shape[0], :block.shape[1]]
+    return out
 
 
 def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     """Kronecker product; realizes a tensor product of modules."""
     if a.p != b.p:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
-    return FpMatrix(np.kron(a.array, b.array) % a.p, a.p)
+    return FpMatrix(_kron_lead(a.array, b.array, a.p), a.p)
 
 
 def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -96,8 +129,7 @@ def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     if a.p != b.p:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
     out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)
-    out[:a.rows, :a.cols] = a.array
-    out[a.rows:, a.cols:] = b.array
+    out[:a.rows, :a.cols], out[a.rows:, a.cols:] = a.array, b.array
     return FpMatrix(out, a.p)
 
 
@@ -112,7 +144,7 @@ def _float_dtype(n: int, p: int):
     #  - each block's trailing update subtracts at most r_b (p-1)^2 from
     #    entries that start in [0, p), and the block ranks r_b sum to the
     #    rank, so delayed entries stay within rank (p-1)^2 + p;
-    #  - panel updates, multipliers, triangular inverses and row scalings
+    #  - panel updates, multipliers, unipotent solves and row scalings
     #    multiply or sum at most n products of reduced residues.
     # BLAS partial sums of nonnegative products never exceed their total.
     # The limits below keep a factor of two under those of _reduce (2^22
@@ -144,81 +176,85 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _panel(P: np.ndarray, p: int):
-    """Echelonize the reduced panel P in place by lead collisions.
+def _panel(P: np.ndarray, p: int, track: bool):
+    """Echelonize the reduced panel P in place by full-reduction rounds.
 
-    Each round finds every live row's leading column.  The first row to
-    reach a column owns it, as a pivot, for good; every other row on an
-    owned column subtracts the multiple of the owner that clears that
-    entry, so its lead moves right.  A round thus settles all rows at
-    once, and a near-echelon panel (as from triangular unipotents) takes
-    few rounds.  On return the pivot rows are untouched since they were
-    claimed, every other row is zero, and the multiplier used on row i
-    at owned column c is kept in L[i, c].  Returns (pivot columns in
-    increasing order, their owner rows, the inverses mod p of the
-    owners' leading entries, L).
+    Each round, the first row to reach a free leading column owns it, as
+    a pivot, for good.  Every other live row H is reduced against all
+    owners O at once: with U = O on the owned columns (upper triangular
+    in lead order) it subtracts X O for X = H[:, owned] U^-1, so its new
+    lead is a free column or the row is zero.  Returns (pivot columns in
+    increasing order, their owner rows, untouched since their claim, the
+    inverses of their leading entries, L): L[i, c] totals the multiples
+    of the owner of column c that row i subtracted, if track is set.
     """
     m, w = P.shape
-    L = np.zeros((m, w), dtype=P.dtype)
+    L = np.zeros((m, w), dtype=P.dtype) if track else None
     owner = np.full(w, -1, dtype=np.intp)
     dinv = np.zeros(w, dtype=P.dtype)
-    act = rows = np.arange(m)
-    sub = P
-    while act.size:
+    act, sub = np.arange(m), P
+    while True:
         lead = (sub != 0).argmax(axis=1)
-        val = sub[rows[:act.size], lead]
-        live = val != 0
-        own = owner[lead]
-        free = live & (own < 0)
+        val = sub[np.arange(act.size), lead]
+        hit = val != 0
+        free = hit & (owner[lead] < 0)
         if free.any():
             cols, first = np.unique(lead[free], return_index=True)
-            owner[cols] = act[free][first]
-            dinv[cols] = [pow(int(v), -1, p) for v in val[free][first]]
-            own = owner[lead]
-        hit = live & (own != act)
+            claim = free.nonzero()[0][first]
+            owner[cols] = act[claim]
+            dinv[cols] = [pow(int(v), -1, p) for v in val[claim].tolist()]
+            hit[claim] = False
         if not hit.any():
             break
-        act, sub, lead, own = act[hit], sub[hit], lead[hit], own[hit]
-        f = np.remainder(val[hit] * dinv[lead], p)
-        L[act, lead] = f
-        sub -= f[:, None] * P[own]
+        pc = (owner >= 0).nonzero()[0]
+        pc = pc[pc >= lead[hit].min()]
+        act, sub = act[hit], sub[hit]
+        O, d = P[owner[pc]], dinv[pc]
+        # U D = I + S, unit upper triangular, and X = H[:, pc] D (I + S)^-1
+        S = O[:, pc] * d
+        S.flat[::pc.size + 1] = 0
+        X = _unipotent_solve(S.T, (sub[:, pc] * d).T, p).T
+        sub -= X @ O
         P[act] = _reduce(sub, p)
-    pc = np.flatnonzero(owner >= 0)
+        if track:
+            Lh = L[act]
+            Lh[:, pc] += X
+            L[act] = _reduce(Lh, p)
+        if not sub.any():
+            break
+    pc = (owner >= 0).nonzero()[0]
     return pc, owner[pc], dinv[pc], L
 
 
-def _unit_lower_inverse(S: np.ndarray, p: int) -> np.ndarray:
-    """(I + S)^-1 mod p for strictly lower triangular reduced S.
+def _unipotent_solve(S: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """(I + S)^-1 B mod p for nilpotent S (S, B: products of residues).
 
-    With M = -S nilpotent, (I - M)^-1 = (I + M)(I + M^2)(I + M^4)...,
-    which stops at the first zero power: one doubling per factor of two
-    in the longest chain of collisions.
+    For any nilpotent M = -S, (I - M)^-1 = (I + M)(I + M^2)(I + M^4)...:
+    each product maps [X | M] to [X + M X | M^2], so S of nilpotency
+    index k takes ceil(log2 k) products, and S = 0 none.
     """
-    M = _reduce(-S, p)
-    inv = M.copy()
-    np.fill_diagonal(inv, 1)
-    while True:
-        M = _reduce(M @ M, p)
-        if not M.any():
-            return inv
-        inv = _reduce(inv + inv @ M, p)
+    k = B.shape[1]
+    Z = _reduce(np.concatenate([B, -S], axis=1), p)
+    while Z[:, k:].any():
+        Y = Z[:, k:] @ Z
+        Y[:, :k] += Z[:, :k]
+        Z = _reduce(Y, p)
+    return Z[:, :k]
 
 
 def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Echelon row basis of A over GF(p) with its pivot columns.
 
     A is a C-ordered float array of integers within the _float_dtype
-    bound; it is destroyed.  Column blocks of width _BLOCK are
-    echelonized in place by _panel.  The pivot rows are swapped to the
-    top, their trailing part is resolved with one triangular product,
-    and every row that needed a multiplier gets the trailing update as
-    one BLAS product, left unreduced until its block comes up.  Returns
-    (R, pivot columns): R is a view of A whose rows are reduced with
-    unit pivots, and R[:, pivcols] is unit upper triangular.
+    bound; it is destroyed.  Each column block of width _BLOCK goes
+    through _panel, its pivot rows are swapped to the top and resolved
+    with the multipliers they took before their claim, and the other
+    rows get the trailing update as one BLAS product, left unreduced
+    until its block comes up.  Returns (R, pivot columns): R is a view of
+    A with unit pivots, and R[:, pivcols] is unit upper triangular.
     """
     m, n = A.shape
-    pivcols: list[int] = []
-    top = 0
+    pivcols, top = [], 0
     if not _reduce(A, p).any():
         return A[:0], pivcols
     for col in range(0, n, _BLOCK):
@@ -229,35 +265,31 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         P = rows[:, col:end]
         if col:
             _reduce(P, p)
-        pc, prow, dinv, L = _panel(P, p)
+        pc, prow, dinv, L = _panel(P, p, end < n)
         r = pc.size
         if not r:
             continue
-        # move the pivot rows, in lead order, to the top of the block;
-        # the non-pivot rows they displace take the vacated places
-        order = np.arange(rows.shape[0])
-        is_piv = np.zeros(rows.shape[0], dtype=bool)
-        is_piv[prow] = True
-        vacated = prow[prow >= r]
-        displaced = np.flatnonzero(~is_piv[:r])
-        order[:r] = prow
-        order[vacated] = displaced
-        moved = np.concatenate([np.arange(r), vacated])
-        rows[moved, col:] = rows[order[moved], col:]
-        V = rows[:r, end:]
-        if V.size:
-            _reduce(V, p)
+        if end == n:
+            # last block: only the pivot rows, in lead order, are kept
+            rows[:r, col:] = rows[prow, col:]
+        else:
+            # move the pivot rows, in lead order, to the top of the block;
+            # the non-pivot rows they displace take the vacated places
+            vacated = prow[prow >= r]
+            order = np.arange(rows.shape[0])
+            order[:r], order[vacated] = prow, np.setdiff1d(np.arange(r), prow)
+            moved = np.concatenate([np.arange(r), vacated])
+            rows[moved, col:] = rows[order[moved], col:]
+            V = _reduce(rows[:r, end:], p)
             Ls = L[prow][:, pc]
-            if r > 1 and Ls.any():
-                V[...] = _reduce(_unit_lower_inverse(Ls, p) @ V, p)
+            if Ls.any():
+                V[...] = _unipotent_solve(Ls, V, p)
             # only rows that took a multiplier need the trailing update
             hit = r + np.flatnonzero(L.any(axis=1)[order[r:]])
             if hit.size:
                 rows[hit, end:] -= L[order[hit]][:, pc] @ V
         if (dinv != 1).any():
-            U = rows[:r, col:]
-            U *= dinv[:, None]
-            _reduce(U, p)
+            _reduce(np.multiply(rows[:r, col:], dinv[:, None], out=rows[:r, col:]), p)
         pivcols.extend((pc + col).tolist())
         top += r
     return A[:top], pivcols
@@ -267,19 +299,17 @@ def rank_mod_p(M: np.ndarray, p: int) -> int:
     """Exact rank of an integer matrix over GF(p)."""
     check_prime(p)
     A = np.asarray(M, dtype=np.int64) % p
-    if A.size == 0:
-        return 0
-    return _echelon(A.astype(_float_dtype(max(A.shape), p)), p)[0].shape[0]
+    return _echelon(A.astype(_float_dtype(max(A.shape), p)), p)[0].shape[0] if A.size else 0
 
 
 def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray,
              triangular: bool) -> np.ndarray:
     """R @ N for an echelon R whose row i is zero left of pivcols[i].
 
-    Rows go in chunks, and each chunk only multiplies the columns from
-    its first pivot on.  When N is upper triangular (matrices of
-    unipotents built here always are) the output also goes in column
-    blocks, each of which needs N's rows only up to the block's end.
+    Rows go in chunks, each reading R only from its first pivot on, and
+    the output goes in column blocks.  When N is upper triangular (the
+    matrices built here always are) a block needs N's rows only up to its
+    end, and the blocks left of the chunk's first pivot stay zero.
     """
     r, n = R.shape
     out = np.zeros((r, n), dtype=R.dtype)
@@ -287,12 +317,10 @@ def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray,
     for i in range(chunks):
         a, b = r * i // chunks, r * (i + 1) // chunks
         c = pivcols[a]
-        if not triangular:
-            np.matmul(R[a:b, c:], N[c:], out=out[a:b])
-            continue
-        for j in range(c - c % _MUL_COLS, n, _MUL_COLS):
+        for j in range(c - c % _MUL_COLS if triangular else 0, n, _MUL_COLS):
             k = min(j + _MUL_COLS, n)
-            np.matmul(R[a:b, c:k], N[c:k, j:k], out=out[a:b, j:k])
+            e = k if triangular else n
+            np.matmul(R[a:b, c:e], N[c:e, j:k], out=out[a:b, j:k])
     return out
 
 
@@ -304,12 +332,10 @@ def rank_sequence(M: FpMatrix) -> list[int]:
     N^k, so only the first elimination runs at full size and every later
     level works on an r_k x n matrix.
     """
-    n = M.rows
+    n, p = M.rows, M.p
     if M.rows != M.cols:
         raise DomainError(f"matrix must be square, got {M.array.shape}")
-    p = M.p
-    dtype = _float_dtype(n, p)
-    N = M.array.astype(dtype)
+    N = M.array.astype(_float_dtype(n, p))
     np.fill_diagonal(N, (np.diagonal(M.array) - 1) % p)
     triangular = bool(np.all(np.tril(N, -1) == 0))
     ranks = [n]
@@ -337,37 +363,33 @@ def jordan_type_of_unipotent(M: FpMatrix) -> JordanType:
 
 def _partition_from_ranks(ranks: list[int], p: int) -> JordanType:
     r = ranks + [0]
-    pairs = []
-    for k in range(1, len(ranks)):
-        mult = r[k - 1] - 2 * r[k] + r[k + 1]
-        if mult:
-            pairs.append((k, mult))
-    return JordanType.from_blocks(pairs, p)
+    return JordanType.from_blocks(
+        ((k, r[k - 1] - 2 * r[k] + r[k + 1]) for k in range(1, len(ranks))), p)
 
 
 # ---------------------------------------------------------------------------
 # expression-level oracle
 
 
+def _fold(e: ModuleExpr, atom, plus, times):
+    """Evaluate a T-free expression bottom-up; duals and twists pass through."""
+    if isinstance(e, Atom):
+        if e.kind not in ("L", "V"):
+            raise DomainError("tilting atoms have no oracle matrix model")
+        return atom(e)
+    if isinstance(e, (Dual, Twist)):
+        return _fold(e.inner, atom, plus, times)
+    if isinstance(e, (Sum, Tensor)):
+        op = plus if isinstance(e, Sum) else times
+        return op(_fold(e.left, atom, plus, times), _fold(e.right, atom, plus, times))
+    raise TypeError(f"not a module expression: {e!r}")
+
+
 def expr_dim(e: ModuleExpr, p: int) -> int:
     """Dimension of a T-free expression (L and V atoms only)."""
-    if isinstance(e, Atom):
-        if e.kind == "L":
-            digits = base_p_digits(e.weight, p)
-            dim = 1
-            for d in digits.digits:
-                dim *= d + 1
-            return dim
-        if e.kind == "V":
-            return e.weight + 1
-        raise DomainError("tilting atoms have no oracle matrix model")
-    if isinstance(e, Sum):
-        return expr_dim(e.left, p) + expr_dim(e.right, p)
-    if isinstance(e, Tensor):
-        return expr_dim(e.left, p) * expr_dim(e.right, p)
-    if isinstance(e, (Dual, Twist)):
-        return expr_dim(e.inner, p)
-    raise TypeError(f"not a module expression: {e!r}")
+    return _fold(e, lambda a: a.weight + 1 if a.kind == "V" else
+                 math.prod(d + 1 for d in base_p_digits(a.weight, p).digits),
+                 operator.add, operator.mul)
 
 
 def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatrix:
@@ -382,28 +404,12 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
     if total > dim_cap:
         raise DimensionCapError(
             f"expression dimension {total} exceeds the oracle cap {dim_cap}")
-    return _build_matrix(e, p)
 
-
-def _build_matrix(e: ModuleExpr, p: int) -> FpMatrix:
-    if isinstance(e, Atom):
-        if e.kind == "V":
-            return pascal_matrix(e.weight, p)
-        if e.kind == "L":
-            digits = base_p_digits(e.weight, p)
-            M = identity_matrix(1, p)
-            for d in digits.digits:
-                if d:
-                    M = kron(M, pascal_matrix(d, p))
-            return M
-        raise DomainError("tilting atoms have no oracle matrix model")
-    if isinstance(e, Sum):
-        return direct_sum(_build_matrix(e.left, p), _build_matrix(e.right, p))
-    if isinstance(e, Tensor):
-        return kron(_build_matrix(e.left, p), _build_matrix(e.right, p))
-    if isinstance(e, (Dual, Twist)):
-        return _build_matrix(e.inner, p)
-    raise TypeError(f"not a module expression: {e!r}")
+    return _fold(e, lambda a: pascal_matrix(a.weight, p) if a.kind == "V" else
+                 functools.reduce(kron, (pascal_matrix(d, p) for d in
+                                         base_p_digits(a.weight, p).digits if d),
+                                  identity_matrix(1, p)),
+                 direct_sum, kron)
 
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:
@@ -416,11 +422,5 @@ def oracle_certificate(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) ->
     raw evidence the Jordan type is derived from."""
     M = expr_matrix(e, p, dim_cap)
     ranks = rank_sequence(M)
-    jt = _partition_from_ranks(ranks, p)
-    return {
-        "expr": render_expr(e),
-        "p": p,
-        "dim": M.rows,
-        "ranks": ranks,
-        "jordan": jt.as_pairs(),
-    }
+    return {"expr": render_expr(e), "p": p, "dim": M.rows, "ranks": ranks,
+            "jordan": _partition_from_ranks(ranks, p).as_pairs()}

@@ -63,3 +63,25 @@ def unit_upper_inverse(Q: np.ndarray, p: int) -> np.ndarray:
         sign = -sign
         acc = (acc + sign * term) % p
     return acc % p
+
+
+def column_rank(A, p: int) -> int:
+    """Textbook Gaussian elimination over GF(p), one column per step, each
+    step vectorized over the rows in int64."""
+    A = np.array(A, dtype=np.int64) % p
+    m, n = A.shape
+    row = 0
+    for col in range(n):
+        nz = np.flatnonzero(A[row:, col])
+        if not nz.size:
+            continue
+        pr = row + nz[0]
+        A[[row, pr]] = A[[pr, row]]
+        A[row] = (A[row] * pow(int(A[row, col]), -1, p)) % p
+        below = A[row + 1:]
+        below -= np.outer(below[:, col], A[row])
+        below %= p
+        row += 1
+        if row == m:
+            break
+    return row

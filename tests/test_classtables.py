@@ -93,6 +93,13 @@ def test_non_canonical_partition_rejected(tmp_path):
             load_class_table(path)
 
 
+def test_characteristic_in_ascii_digits_only(tmp_path):
+    for p_str in ("\u0665", "0_5", "5.0"):
+        path = write_table(tmp_path, f"E6\t{p_str}\tadjoint\t5^15 1^3\tA_4\tsrc\n")
+        with pytest.raises(TableFormatError, match="bad characteristic"):
+            load_class_table(path)
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = write_table(
         tmp_path,

@@ -271,11 +271,37 @@ def test_deep_expressions_and_large_ranks_refused(capsys, argv):
     ["qm", "-p", "5", "--group", "E+8"],
     ["qm", "-p", "5", "--group", "A 3"],
     ["identify", "-p", "5", "--group", "E\u0666", "--expr", "L(1)"],
+    ["semisimple", "-p", "5", "\u0663 1_0"],
+    ["enumerate", "-p", "5", "3^\u0662"],
+    ["distinguished", "-p", "5", "1_0", "--group", "SL", "--dim", "10"],
 ])
 def test_only_ascii_digits_accepted(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "-p", "\u0665", "10"],                    # Arabic-Indic five
+    ["weyl", "-p", "5", "1_0"],
+    ["tensor", "-p", "5", "\uff13", "2"],              # fullwidth three
+    ["ext", "-p", "5", "1", "\u0967"],                 # Devanagari one
+    ["distinguished", "-p", "5", "5 5", "--group", "SL", "--dim", "1_0"],
+    ["jordan", "-p", "5", "L(1)", "--oracle", "--dim-cap", "\u0663"],
+])
+def test_only_ascii_digits_accepted_as_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "ASCII digits only" in err
+
+
+def test_ascii_integer_arguments_still_read(capsys):
+    assert run(capsys, "weyl", "-p", "5", "10")[:2] == (0, "5^2 1\n")
+    assert run(capsys, "weyl", "-p", "+5", " 10")[:2] == (0, "5^2 1\n")
+    code, _, err = run(capsys, "weyl", "-p", "5", "-3")
+    assert code == 1 and err.startswith("error: ")
 
 
 def _fuzz_argv(rng):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import naive_rank, rand_expr, unit_upper_inverse
+from helpers import column_rank, naive_rank, rand_expr, unit_upper_inverse
 from unipjordan.core import DomainError, JordanType, parse_partition
 from unipjordan.expr import Atom, Dual, Tensor, Twist, parse_expr
 from unipjordan.oracle import (
@@ -47,6 +47,39 @@ class TestFpMatrix:
         for i in range(m + 1):
             for j in range(m + 1):
                 assert P[i, j] == math.comb(j, i) % p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_pascal_at_prime_power_edges(self, p):
+        # Lucas' theorem builds the matrix from Kronecker levels; each
+        # level boundary m + 1 = p^k, and one on either side of it
+        q = p
+        while q - 1 <= 400:
+            for n in (q - 1, q, q + 1):
+                P = pascal_matrix(n - 1, p).array
+                want = [[math.comb(j, i) % p for j in range(n)] for i in range(n)]
+                assert P.tolist() == want, (n, p)
+            q *= p
+
+    def test_pascal_digit_block_at_large_prime(self):
+        # m > p for a prime above 100: a 3 x 3 digit block over the
+        # 101 x 101 one, the last level cut to 251 rows
+        P = pascal_matrix(250, 101)
+        assert P.array.dtype == np.int64
+        assert P.array.tolist() == [[math.comb(j, i) % 101 for j in range(251)]
+                                    for i in range(251)]
+
+    def test_kron_matches_integer_kron(self):
+        # both loop orientations (the smaller factor on either side),
+        # non-square factors and a large prime
+        rng = np.random.default_rng(31)
+        for p in (2, 3, 7, 101, 1009):
+            for _ in range(12):
+                a = rng.integers(0, p, tuple(rng.integers(1, 7, 2)))
+                b = rng.integers(0, p, tuple(rng.integers(1, 7, 2)))
+                for x, y in ((a, b), (b, a)):
+                    got = kron(FpMatrix(x, p), FpMatrix(y, p)).array
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, np.kron(x, y) % p)
 
     def test_kron_identity(self):
         assert np.array_equal(kron(identity_matrix(2, 5), identity_matrix(3, 5)).array,
@@ -121,6 +154,16 @@ class TestJordanOfUnipotent:
             jordan_type_of_unipotent(FpMatrix(J4, 2))
         # the same matrix is fine at p = 5
         assert jordan_type_of_unipotent(FpMatrix(J4, 5)) == parse_partition("4", 5)
+
+    def test_non_triangular_conjugate(self):
+        # a permuted Pascal matrix is not triangular, so the level
+        # products take the general path, across several column blocks
+        rng = np.random.default_rng(13)
+        for m, p in ((599, 2), (560, 5), (150, 7)):
+            perm = rng.permutation(m + 1)
+            P = pascal_matrix(m, p).array[np.ix_(perm, perm)]
+            assert np.tril(P, -1).any()
+            assert jordan_type_of_unipotent(FpMatrix(P, p)) == weyl_jordan(m, p)
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError):
@@ -329,3 +372,49 @@ class TestEchelonRowSpace:
                     if r:
                         stacked = np.vstack([A % p, R.astype(np.int64)])
                         assert naive_rank(stacked, p) == r
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_structured_levels_across_block_width(self, p):
+        # N = Pascal(m, p) - I and the level products R @ N of the rank
+        # sequence: the panels with long chains of lead collisions
+        import unipjordan.oracle as oracle_mod
+        for m in (oracle_mod._BLOCK - 1, oracle_mod._BLOCK + 1, 200, 257, 300):
+            N = pascal_matrix(m, p).array.copy()
+            N[np.diag_indices(m + 1)] = 0
+            A = N
+            while A.any():
+                R, piv = oracle_mod._echelon(A.astype(np.float64), p)
+                r = R.shape[0]
+                R = R.astype(np.int64)
+                assert r == len(piv) == column_rank(A, p), (m, p)
+                assert all(R[i, piv[i]] == 1 for i in range(r))
+                assert not np.tril(R[:, piv], -1).any()
+                assert column_rank(np.vstack([A, R]), p) == r
+                A = (R @ N) % p
+
+
+class TestUnipotentSolve:
+    def test_nilpotent_not_triangular(self):
+        # (I + S)^-1 B for S = -M, M nilpotent but conjugated out of
+        # triangular form; one M is a single long chain (index n)
+        import unipjordan.oracle as oracle_mod
+        rng = np.random.default_rng(14)
+        for p in (2, 3, 7, 101):
+            for n, chain in ((5, False), (40, False), (90, True)):
+                T = np.triu(rng.integers(0, p, (n, n)), 1)
+                if chain:
+                    T = np.eye(n, k=1, dtype=np.int64)
+                Lw = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+                Up = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+                Q = (Lw @ Up) % p
+                Qinv = (unit_upper_inverse(Up, p) @ unit_upper_inverse(Lw.T, p).T) % p
+                assert np.array_equal((Q @ Qinv) % p, np.eye(n, dtype=np.int64))
+                M = (Q @ T @ Qinv) % p
+                assert np.tril(M, -1).any() and np.triu(M, 1).any()
+                B = rng.integers(0, p, (n, 3))
+                for rhs in (np.eye(n, dtype=np.int64), B):
+                    X = oracle_mod._unipotent_solve((-M % p).astype(np.float64),
+                                                    rhs.astype(np.float64), p)
+                    X = X.astype(np.int64)
+                    assert ((X >= 0) & (X < p)).all()
+                    assert np.array_equal(((np.eye(n, dtype=np.int64) - M) @ X) % p, rhs)
