@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import compress
 from math import gcd
 
@@ -42,7 +43,7 @@ class Character:
     Every character keeps the lattice (lo, step) of its weights; a packed
     one also keeps its slots, a sparse one its pairs."""
 
-    __slots__ = ("_lo", "_step", "_slots", "_nnz", "_items", "_map")
+    __slots__ = ("_lo", "_step", "_slots", "_nnz", "_items")
 
     def __init__(self, items):
         items = tuple(items)
@@ -58,7 +59,7 @@ class Character:
             raise DomainError("character items not sorted")
         self._lo = items[0][0] if items else 0
         self._step = gcd(*[w - self._lo for w, _ in items])
-        self._nnz, self._items, self._map, self._slots = len(items), items, None, None
+        self._nnz, self._items, self._slots = len(items), items, None
         if _slot_count(self._lo, self._step) <= _DENSITY * len(items):
             self._slots = _pack(self)
 
@@ -86,9 +87,8 @@ class Character:
         if self._slots is not None:
             i, off = divmod(w - self._lo, self._step or 1)
             return self._slots[i] if off == 0 and 0 <= i < len(self._slots) else 0
-        if self._map is None:
-            self._map = dict(self._items)
-        return self._map.get(w, 0)
+        i = bisect_left(self._items, (w, 0))
+        return self._items[i][1] if i < len(self._items) and self._items[i][0] == w else 0
 
     def __eq__(self, other):
         if not isinstance(other, Character):
@@ -136,7 +136,7 @@ def _from_grid(lo: int, step: int, slots: array, nnz: int | None = None) -> Char
             and slots == slots[::-1]):
         raise DomainError("character grid not symmetric")
     ch = Character.__new__(Character)
-    ch._lo, ch._step, ch._slots, ch._items, ch._map = lo, step if n > 1 else 0, slots, None, None
+    ch._lo, ch._step, ch._slots, ch._items = lo, step if n > 1 else 0, slots, None
     ch._nnz = n - slots.count(0) if nnz is None else nnz
     if n > _DENSITY * ch._nnz:
         ch._items = ch.items

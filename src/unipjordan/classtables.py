@@ -67,58 +67,65 @@ class ClassTable:
 def load_class_table(path) -> ClassTable:
     """Load and validate a TSV class table.
 
-    Raises TableFormatError with a line number on parse problems,
-    dimension mismatches against the tabulated module dimension, or
-    duplicate keys.
+    Raises TableFormatError naming the path if the file cannot be read
+    as UTF-8 text, and with a line number on parse problems, dimension
+    mismatches against the tabulated module dimension, or duplicate keys.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise TableFormatError(
+            f"{path}: cannot read class table: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: class table is not UTF-8 text: {exc}") from exc
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 6:
-                raise TableFormatError(
-                    f"{path}:{lineno}: expected 6 tab-separated columns, got {len(cols)}")
-            group, p_str, tag, part_str, label, source = (c.strip() for c in cols)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 6:
+            raise TableFormatError(
+                f"{path}:{lineno}: expected 6 tab-separated columns, got {len(cols)}")
+        group, p_str, tag, part_str, label, source = (c.strip() for c in cols)
+        try:
+            letter, rank = parse_group_name(group)
+        except DomainError as exc:
+            raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
+        if p_str == "*":
+            p = None
+        else:
             try:
-                letter, rank = parse_group_name(group)
-            except DomainError as exc:
-                raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
-            if p_str == "*":
-                p = None
-            else:
-                try:
-                    p = check_prime(parse_int(p_str))
-                except (ValueError, DomainError) as exc:
-                    raise TableFormatError(
-                        f"{path}:{lineno}: bad characteristic {p_str!r}") from exc
-            if tag not in MODULE_TAGS:
+                p = check_prime(parse_int(p_str))
+            except (ValueError, DomainError) as exc:
                 raise TableFormatError(
-                    f"{path}:{lineno}: unknown module tag {tag!r}")
-            try:
-                partition = tuple(parse_blocks(part_str))
-            except DomainError as exc:
-                raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
-            sizes = [s for s, _ in partition]
-            # bit-exact round trip through the renderer, sizes strictly descending
-            if (render_blocks(partition) != part_str
-                    or sorted(set(sizes), reverse=True) != sizes):
-                raise TableFormatError(
-                    f"{path}:{lineno}: partition {part_str!r} is not in canonical form")
-            entry = ClassEntry(f"{letter}{rank}", p, tag, partition, label, source)
-            expected = module_dimension(letter, rank, tag)
-            if entry.dim != expected:
-                raise TableFormatError(
-                    f"{path}:{lineno}: partition sums to {entry.dim}, "
-                    f"but the {tag} module of {group} has dimension {expected}")
-            key = (entry.group, entry.p, entry.module_tag, entry.partition)
-            if key in seen:
-                raise TableFormatError(f"{path}:{lineno}: duplicate key {key}")
-            seen.add(key)
-            entries.append(entry)
+                    f"{path}:{lineno}: bad characteristic {p_str!r}") from exc
+        if tag not in MODULE_TAGS:
+            raise TableFormatError(
+                f"{path}:{lineno}: unknown module tag {tag!r}")
+        try:
+            partition = tuple(parse_blocks(part_str))
+        except DomainError as exc:
+            raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
+        sizes = [s for s, _ in partition]
+        # bit-exact round trip through the renderer, sizes strictly descending
+        if (render_blocks(partition) != part_str
+                or sorted(set(sizes), reverse=True) != sizes):
+            raise TableFormatError(
+                f"{path}:{lineno}: partition {part_str!r} is not in canonical form")
+        entry = ClassEntry(f"{letter}{rank}", p, tag, partition, label, source)
+        expected = module_dimension(letter, rank, tag)
+        if entry.dim != expected:
+            raise TableFormatError(
+                f"{path}:{lineno}: partition sums to {entry.dim}, "
+                f"but the {tag} module of {group} has dimension {expected}")
+        key = (entry.group, entry.p, entry.module_tag, entry.partition)
+        if key in seen:
+            raise TableFormatError(f"{path}:{lineno}: duplicate key {key}")
+        seen.add(key)
+        entries.append(entry)
     return ClassTable(entries)
 
 

@@ -7,10 +7,10 @@ matrices for irreducibles) and reads the Jordan type off the rank
 sequence of powers of (M - I).  Nothing here consults the closed forms.
 
 Rank computation is exact Gaussian elimination over GF(p) in numpy: one
-blocked kernel whose panels reduce each row against all pivots at once
-and whose trailing updates are BLAS products in floating point with
-delayed modular reduction, in the float type that _float_dtype proves
-exact.
+blocked kernel that finds pivots a column block at a time and reduces
+each row against all of a block's pivots at once, over the row's whole
+trailing width, by BLAS products in the float type that _float_dtype
+proves exact, reduced back into [0, p) after every round.
 """
 
 from __future__ import annotations
@@ -141,11 +141,10 @@ def _float_dtype(n: int, p: int):
     # Every value the kernel handles is an integer of magnitude at most
     # n(p-1)^2 + p, where n bounds both matrix dimensions:
     #  - an input product R @ N of reduced factors is at most n(p-1)^2;
-    #  - each block's trailing update subtracts at most r_b (p-1)^2 from
-    #    entries that start in [0, p), and the block ranks r_b sum to the
-    #    rank, so delayed entries stay within rank (p-1)^2 + p;
-    #  - panel updates, multipliers, unipotent solves and row scalings
-    #    multiply or sum at most n products of reduced residues.
+    #  - a panel round subtracts a product X O of reduced factors, at
+    #    most n(p-1)^2, from entries in [0, p) and reduces the result;
+    #  - unipotent solves and row scalings multiply or sum at most n
+    #    products of reduced residues.
     # BLAS partial sums of nonnegative products never exceed their total.
     # The limits below keep a factor of two under those of _reduce (2^22
     # in float32, 2^51 in float64; see there), which in turn sit under
@@ -176,25 +175,24 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _panel(P: np.ndarray, p: int, track: bool):
-    """Echelonize the reduced panel P in place by full-reduction rounds.
+def _panel(W: np.ndarray, w: int, p: int):
+    """Echelonize the first w columns of the reduced rows W in place by
+    full-reduction rounds.
 
-    Each round, the first row to reach a free leading column owns it, as
-    a pivot, for good.  Every other live row H is reduced against all
-    owners O at once: with U = O on the owned columns (upper triangular
-    in lead order) it subtracts X O for X = H[:, owned] U^-1, so its new
-    lead is a free column or the row is zero.  Returns (pivot columns in
-    increasing order, their owner rows, untouched since their claim, the
-    inverses of their leading entries, L): L[i, c] totals the multiples
-    of the owner of column c that row i subtracted, if track is set.
+    Each round, the first row to reach a free leading column among the
+    first w owns it, as a pivot, for good.  Every other live row H is
+    reduced against all owners O at once, over the whole width of W: with
+    U = O on the owned columns (upper triangular in lead order) it
+    subtracts X O for X = H[:, owned] U^-1, so its new lead is a free
+    column or lies past column w.  An owner is final at its claim and no
+    round touches it again.  Returns (pivot columns in increasing order,
+    their owner rows, the inverses of their leading entries).
     """
-    m, w = P.shape
-    L = np.zeros((m, w), dtype=P.dtype) if track else None
     owner = np.full(w, -1, dtype=np.intp)
-    dinv = np.zeros(w, dtype=P.dtype)
-    act, sub = np.arange(m), P
+    dinv = np.zeros(w, dtype=W.dtype)
+    act, sub = np.arange(W.shape[0]), W
     while True:
-        lead = (sub != 0).argmax(axis=1)
+        lead = (sub[:, :w] != 0).argmax(axis=1)
         val = sub[np.arange(act.size), lead]
         hit = val != 0
         free = hit & (owner[lead] < 0)
@@ -209,21 +207,17 @@ def _panel(P: np.ndarray, p: int, track: bool):
         pc = (owner >= 0).nonzero()[0]
         pc = pc[pc >= lead[hit].min()]
         act, sub = act[hit], sub[hit]
-        O, d = P[owner[pc]], dinv[pc]
+        O, d = W[owner[pc]], dinv[pc]
         # U D = I + S, unit upper triangular, and X = H[:, pc] D (I + S)^-1
         S = O[:, pc] * d
         S.flat[::pc.size + 1] = 0
         X = _unipotent_solve(S.T, (sub[:, pc] * d).T, p).T
         sub -= X @ O
-        P[act] = _reduce(sub, p)
-        if track:
-            Lh = L[act]
-            Lh[:, pc] += X
-            L[act] = _reduce(Lh, p)
-        if not sub.any():
+        W[act] = _reduce(sub, p)
+        if not sub[:, :w].any():
             break
     pc = (owner >= 0).nonzero()[0]
-    return pc, owner[pc], dinv[pc], L
+    return pc, owner[pc], dinv[pc]
 
 
 def _unipotent_solve(S: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -247,11 +241,11 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     A is a C-ordered float array of integers within the _float_dtype
     bound; it is destroyed.  Each column block of width _BLOCK goes
-    through _panel, its pivot rows are swapped to the top and resolved
-    with the multipliers they took before their claim, and the other
-    rows get the trailing update as one BLAS product, left unreduced
-    until its block comes up.  Returns (R, pivot columns): R is a view of
-    A with unit pivots, and R[:, pivcols] is unit upper triangular.
+    through _panel, which carries every reduction across the rows' whole
+    trailing width, so the rows stay reduced and the pivot rows are final.
+    These are moved, in lead order, to the top and scaled to unit pivots.
+    Returns (R, pivot columns): R is a view of A with unit pivots, and
+    R[:, pivcols] is unit upper triangular.
     """
     m, n = A.shape
     pivcols, top = [], 0
@@ -262,10 +256,7 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         end = min(col + _BLOCK, n)
         rows = A[top:]
-        P = rows[:, col:end]
-        if col:
-            _reduce(P, p)
-        pc, prow, dinv, L = _panel(P, p, end < n)
+        pc, prow, dinv = _panel(rows[:, col:], end - col, p)
         r = pc.size
         if not r:
             continue
@@ -280,14 +271,6 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             order[:r], order[vacated] = prow, np.setdiff1d(np.arange(r), prow)
             moved = np.concatenate([np.arange(r), vacated])
             rows[moved, col:] = rows[order[moved], col:]
-            V = _reduce(rows[:r, end:], p)
-            Ls = L[prow][:, pc]
-            if Ls.any():
-                V[...] = _unipotent_solve(Ls, V, p)
-            # only rows that took a multiplier need the trailing update
-            hit = r + np.flatnonzero(L.any(axis=1)[order[r:]])
-            if hit.size:
-                rows[hit, end:] -= L[order[hit]][:, pc] @ V
         if (dinv != 1).any():
             _reduce(np.multiply(rows[:r, col:], dinv[:, None], out=rows[:r, col:]), p)
         pivcols.extend((pc + col).tolist())

@@ -19,8 +19,8 @@ Jordan block has size at most p.  The block data of the basic modules:
 
 None of this needs a weight multiplicity, so :func:`eval_expr` works on
 integers only.  The character is a separate recursion, run the first time
-:attr:`EvalResult.character` is read; the tilting characters it uses sit
-in a bounded cache, the module's only shared state.
+:attr:`EvalResult.character` is read.  The module holds no shared state:
+nothing is cached across calls.
 
 Everything here is cross-checked against the finite-field matrix oracle
 in :mod:`unipjordan.oracle` by the test suite.
@@ -143,14 +143,12 @@ def irrep_char(lam: int, p: int) -> Character:
     return ch
 
 
-@functools.lru_cache(maxsize=4096)  # a 30 s calculus benchmark run fills ~1100
 def tilting_char(c: int, p: int) -> Character:
     """Character of the indecomposable tilting module of highest weight c.
 
     Base cases: irreducible for c <= p-1; sum of the two Weyl characters
     ch V(c) + ch V(2p-2-c) for p <= c <= 2p-2.  Above that, the
     tensor-twist recursion with c = sp + (p-1+r), 0 <= r <= p-1, s >= 1.
-    The memo table is an idempotent cache, safe under concurrent insert.
     """
     check_prime(p)
     if c < 0:

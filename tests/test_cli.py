@@ -218,6 +218,26 @@ def test_identify_custom_table_and_env(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "custom"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("via", ["--table", "UNIP_CLASS_TABLE"])
+def test_unreadable_class_table_is_one_error_line(capsys, tmp_path, monkeypatch,
+                                                  kind, via):
+    path = tmp_path / "table.tsv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"\xff\xfe")
+    argv = ["identify", "-p", "5", "--group", "E6", "--expr", "L(2)"]
+    if via == "--table":
+        argv += ["--table", str(path)]
+    else:
+        monkeypatch.setenv("UNIP_CLASS_TABLE", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err
+
+
 def test_identify_not_found(capsys):
     import warnings
     with warnings.catch_warnings():

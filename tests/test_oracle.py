@@ -111,8 +111,8 @@ class TestRank:
                 assert rank_mod_p(A, p) == naive_rank(A, p)
 
     def test_blocked_path_against_reference(self):
-        # shapes on both sides of the kernel's block width, so that the
-        # trailing update between blocks runs, on rank-deficient products
+        # shapes on both sides of the kernel's block width, so that reductions
+        # carry across blocks, on rank-deficient products
         import unipjordan.oracle as oracle_mod
         assert 80 < oracle_mod._BLOCK < 300
         rng = np.random.default_rng(9)
@@ -351,9 +351,22 @@ class TestEchelonRowSpace:
         # rank_sequence relies on rowspace(R @ N) = rowspace(N^{k+1}),
         # which needs the echelon rows to be an actual row-space basis
         import unipjordan.oracle as oracle_mod
+        B = oracle_mod._BLOCK
         rng = np.random.default_rng(55)
+
+        def check(A, p, rank):
+            R, piv = oracle_mod._echelon(A.astype(np.float64) % p, p)
+            r = R.shape[0]
+            assert r == rank(A, p) == len(piv)
+            for i in range(r):
+                assert R[i, piv[i]] == 1
+                assert all(R[j, piv[i]] == 0 for j in range(i + 1, r))
+            if r:
+                stacked = np.vstack([A % p, R.astype(np.int64)])
+                assert rank(stacked, p) == r
+
         # a single panel, then shapes across the block width
-        for lo, hi in ((1, 100), (oracle_mod._BLOCK - 30, oracle_mod._BLOCK + 50)):
+        for lo, hi in ((1, 100), (B - 30, B + 50)):
             for p in (2, 3, 5, 7):
                 for trial in range(10):
                     m = int(rng.integers(lo, hi))
@@ -363,15 +376,23 @@ class TestEchelonRowSpace:
                         k = int(rng.integers(1, min(m, n) + 1))
                         A = (rng.integers(0, p, (m, k))
                              @ rng.integers(0, p, (k, n))) % p
-                    R, piv = oracle_mod._echelon(A.astype(np.float64) % p, p)
-                    r = R.shape[0]
-                    assert r == naive_rank(A, p) == len(piv)
-                    for i in range(r):
-                        assert R[i, piv[i]] == 1
-                        assert all(R[j, piv[i]] == 0 for j in range(i + 1, r))
-                    if r:
-                        stacked = np.vstack([A % p, R.astype(np.int64)])
-                        assert naive_rank(stacked, p) == r
+                    check(A, p, naive_rank)
+        # three blocks at a large prime, dense and rank-deficient: panels
+        # of many rounds carry their reductions into the later blocks
+        p = 101
+        for trial in range(4):
+            m = int(rng.integers(300, 401))
+            n = int(rng.integers(max(300, 2 * B + 1), 401))
+            A = rng.integers(0, p, (m, n))
+            if trial % 2:
+                k = int(rng.integers(B + 1, min(m, n) - 20))
+                A = (rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))) % p
+            check(A, p, column_rank)
+        # a zero middle block with nonzeros after it: no pivot in that block
+        for p in (2, 101):
+            A = rng.integers(0, p, (300, 3 * B))
+            A[:, B:2 * B] = 0
+            check(A, p, column_rank)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_structured_levels_across_block_width(self, p):
