@@ -9,8 +9,9 @@ sequence of powers of (M - I).  Nothing here consults the closed forms.
 Rank computation is exact Gaussian elimination over GF(p) in numpy: one
 blocked kernel that finds pivots a column block at a time and reduces
 each row against all of a block's pivots at once, over the row's whole
-trailing width, by BLAS products in the float type that _float_dtype
-proves exact, reduced back into [0, p) after every round.
+trailing width.  Matrices are built once, in place, in the float type
+that _float_dtype proves exact (int64 for the public builders), and each
+product is reduced into [0, p) where it is made.
 """
 
 from __future__ import annotations
@@ -64,8 +65,15 @@ class FpMatrix:
         return self.array.shape[1]
 
 
+def _trusted(array: np.ndarray, p: int) -> FpMatrix:
+    """FpMatrix of a builder result, whose entries are residues by construction."""
+    M = object.__new__(FpMatrix)
+    M.__dict__.update(array=array, p=p)
+    return M
+
+
 def identity_matrix(n: int, p: int) -> FpMatrix:
-    return FpMatrix(np.eye(n, dtype=np.int64), check_prime(p))
+    return _trusted(np.eye(n, dtype=np.int64), check_prime(p))
 
 
 def pascal_matrix(m: int, p: int) -> FpMatrix:
@@ -78,38 +86,23 @@ def pascal_matrix(m: int, p: int) -> FpMatrix:
     m + 1 and h = ceil((m+1)/q), and Pascal(q-1) is built the same way;
     only the p x p digit block is summed row by row.
     """
-    check_prime(p)
-    if m < 0:
-        raise DomainError(f"degree must be >= 0, got {m}")
-    n = m + 1
-    d = min(n, p)
-    D = np.zeros((d, d), dtype=np.int64)
-    D[0] = 1
-    for i in range(1, d):  # C(j, i) = C(j-1, i-1) + C(j-1, i)
-        D[i, i:] = np.cumsum(D[i - 1, i - 1:d - 1]) % p
-    P = D
-    while P.shape[0] < n:
-        h = min(p, -(-n // P.shape[0]))
-        P = _kron_lead(D[:h, :h], P, p, (min(n, h * P.shape[0]),) * 2)
-    return FpMatrix(P, p)
+    e = Atom("V", m)  # refuses m < 0
+    return _trusted(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64)), p)
 
 
-def _kron_lead(x: np.ndarray, y: np.ndarray, p: int, shape=None) -> np.ndarray:
-    """Leading block of the given shape of kron(x, y) mod p, all of it by default.
+def _kron_lead(x: np.ndarray, y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Write kron(x, y) mod p, cut to out's shape, into the zeroed out; return out.
 
-    Loops over the entries of the smaller factor; each distinct entry c
-    makes one multiple c * (other factor), reduced by _reduce in floating
-    point rather than by an int64 remainder, and copies it into place.
+    Each distinct entry c of the smaller factor makes one multiple
+    c * (other factor), reduced by _reduce, which is copied into place.
     """
     ry, cy = y.shape
-    out = np.zeros(shape or (x.shape[0] * ry, x.shape[1] * cy), dtype=np.int64)
     small, big = (x, y) if x.size <= y.size else (y, x)
     multiples = {1: big}
     for i, j in zip(*np.nonzero(small)):
         c = int(small[i, j])
         if c not in multiples:
-            prod = _reduce(np.multiply(big, c, dtype=_float_dtype(1, p)), p)
-            multiples[c] = prod.astype(np.int64)
+            multiples[c] = _reduce(np.multiply(big, c, dtype=_float_dtype(1, p)), p)
         # x[i, j] scales y into one block; y[i, j] scales x into a grid
         block = (out[i * ry:(i + 1) * ry, j * cy:(j + 1) * cy] if small is x
                  else out[i::ry, j::cy])
@@ -121,7 +114,8 @@ def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     """Kronecker product; realizes a tensor product of modules."""
     if a.p != b.p:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
-    return FpMatrix(_kron_lead(a.array, b.array, a.p), a.p)
+    out = np.zeros((a.rows * b.rows, a.cols * b.cols), dtype=np.int64)
+    return _trusted(_kron_lead(a.array, b.array, a.p, out), a.p)
 
 
 def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -130,7 +124,7 @@ def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
     out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)
     out[:a.rows, :a.cols], out[a.rows:, a.cols:] = a.array, b.array
-    return FpMatrix(out, a.p)
+    return _trusted(out, a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +233,7 @@ def _unipotent_solve(S: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Echelon row basis of A over GF(p) with its pivot columns.
 
-    A is a C-ordered float array of integers within the _float_dtype
+    A is a C-ordered float array of residues, sized within the _float_dtype
     bound; it is destroyed.  Each column block of width _BLOCK goes
     through _panel, which carries every reduction across the rows' whole
     trailing width, so the rows stay reduced and the pivot rows are final.
@@ -249,7 +243,7 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """
     m, n = A.shape
     pivcols, top = [], 0
-    if not _reduce(A, p).any():
+    if not A.any():
         return A[:0], pivcols
     for col in range(0, n, _BLOCK):
         if top == m:
@@ -281,18 +275,21 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank_mod_p(M: np.ndarray, p: int) -> int:
     """Exact rank of an integer matrix over GF(p)."""
     check_prime(p)
-    A = np.asarray(M, dtype=np.int64) % p
+    A = np.asarray(M, dtype=np.int64)
+    if A.size and (A.min() < 0 or A.max() >= p):  # skip the % for residues
+        A = A % p
     return _echelon(A.astype(_float_dtype(max(A.shape), p)), p)[0].shape[0] if A.size else 0
 
 
-def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray,
+def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray, p: int,
              triangular: bool) -> np.ndarray:
-    """R @ N for an echelon R whose row i is zero left of pivcols[i].
+    """R @ N mod p for an echelon R whose row i is zero left of pivcols[i].
 
     Rows go in chunks, each reading R only from its first pivot on, and
     the output goes in column blocks.  When N is upper triangular (the
     matrices built here always are) a block needs N's rows only up to its
-    end, and the blocks left of the chunk's first pivot stay zero.
+    end, and the blocks left of the chunk's first pivot stay zero.  Each
+    output block is reduced right after its product, while it is in cache.
     """
     r, n = R.shape
     out = np.zeros((r, n), dtype=R.dtype)
@@ -303,7 +300,7 @@ def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray,
         for j in range(c - c % _MUL_COLS if triangular else 0, n, _MUL_COLS):
             k = min(j + _MUL_COLS, n)
             e = k if triangular else n
-            np.matmul(R[a:b, c:e], N[c:e, j:k], out=out[a:b, j:k])
+            _reduce(np.matmul(R[a:b, c:e], N[c:e, j:k], out=out[a:b, j:k]), p)
     return out
 
 
@@ -315,22 +312,23 @@ def rank_sequence(M: FpMatrix) -> list[int]:
     N^k, so only the first elimination runs at full size and every later
     level works on an r_k x n matrix.
     """
-    n, p = M.rows, M.p
     if M.rows != M.cols:
         raise DomainError(f"matrix must be square, got {M.array.shape}")
-    N = M.array.astype(_float_dtype(n, p))
-    np.fill_diagonal(N, (np.diagonal(M.array) - 1) % p)
+    return _ranks(M.array.astype(_float_dtype(M.rows, M.p)), M.p)
+
+
+def _ranks(N: np.ndarray, p: int) -> list[int]:
+    """rank_sequence of N, a float array in the _float_dtype type; N becomes N - I."""
+    np.fill_diagonal(N, (np.diagonal(N) - 1) % p)
     triangular = bool(np.all(np.tril(N, -1) == 0))
-    ranks = [n]
+    ranks = [N.shape[0]]
     R, pivcols = _echelon(N.copy(), p)
     while R.shape[0]:
         ranks.append(int(R.shape[0]))
         if len(ranks) - 1 >= p:
             raise NotUnipotentError(
                 f"(M - I)^{p} != 0: element is not unipotent of order dividing {p}")
-        # the product is left unreduced: the elimination reduces on use,
-        # and _float_dtype guarantees the values stay exactly representable
-        R, pivcols = _echelon(_row_mul(R, pivcols, N, triangular), p)
+        R, pivcols = _echelon(_row_mul(R, pivcols, N, p, triangular), p)
     ranks.append(0)
     return ranks
 
@@ -354,25 +352,58 @@ def _partition_from_ranks(ranks: list[int], p: int) -> JordanType:
 # expression-level oracle
 
 
-def _fold(e: ModuleExpr, atom, plus, times):
-    """Evaluate a T-free expression bottom-up; duals and twists pass through."""
+def expr_dim(e: ModuleExpr, p: int) -> int:
+    """Dimension of a T-free expression (L and V atoms only)."""
     if isinstance(e, Atom):
         if e.kind not in ("L", "V"):
             raise DomainError("tilting atoms have no oracle matrix model")
-        return atom(e)
+        return e.weight + 1 if e.kind == "V" else \
+            math.prod(d + 1 for d in base_p_digits(e.weight, p).digits)
     if isinstance(e, (Dual, Twist)):
-        return _fold(e.inner, atom, plus, times)
+        return expr_dim(e.inner, p)
     if isinstance(e, (Sum, Tensor)):
-        op = plus if isinstance(e, Sum) else times
-        return op(_fold(e.left, atom, plus, times), _fold(e.right, atom, plus, times))
+        op = operator.add if isinstance(e, Sum) else operator.mul
+        return op(expr_dim(e.left, p), expr_dim(e.right, p))
     raise TypeError(f"not a module expression: {e!r}")
 
 
-def expr_dim(e: ModuleExpr, p: int) -> int:
-    """Dimension of a T-free expression (L and V atoms only)."""
-    return _fold(e, lambda a: a.weight + 1 if a.kind == "V" else
-                 math.prod(d + 1 for d in base_p_digits(a.weight, p).digits),
-                 operator.add, operator.mul)
+def _fill(e: ModuleExpr, p: int, out: np.ndarray) -> np.ndarray:
+    """Write the matrix of u on e (accepted by expr_dim) into the zeroed square
+    out; return out.  L(l) is the tensor product of V(d), d its base-p digits."""
+    if isinstance(e, (Dual, Twist)):
+        return _fill(e.inner, p, out)
+    if isinstance(e, Atom) and e.kind == "L":
+        digits = [Atom("V", d) for d in base_p_digits(e.weight, p).digits if d]
+        return _fill(functools.reduce(Tensor, digits) if digits else Atom("V", 0), p, out)
+    if isinstance(e, Atom):  # Pascal(m) by Lucas' theorem, see pascal_matrix
+        n = e.weight + 1
+        D = out if n <= p else np.zeros((p, p), out.dtype)
+        D[0] = 1
+        for i in range(1, D.shape[0]):  # C(j, i) = C(j-1, i-1) + C(j-1, i)
+            D[i, i:] = np.cumsum(D[i - 1, i - 1:-1]) % p
+        P = D
+        while P.shape[0] < n:
+            h = min(p, -(-n // P.shape[0]))
+            k = min(n, h * P.shape[0])
+            P = _kron_lead(D[:h, :h], P, p, out if k == n else np.zeros((k, k), out.dtype))
+        return out
+    k = expr_dim(e.left, p)
+    if isinstance(e, Sum):
+        _fill(e.left, p, out[:k, :k])
+        _fill(e.right, p, out[k:, k:])
+        return out
+    h = out.shape[0] // k
+    return _kron_lead(_fill(e.left, p, np.zeros((k, k), out.dtype)),
+                      _fill(e.right, p, np.zeros((h, h), out.dtype)), p, out)
+
+
+def _build(e: ModuleExpr, p: int, dim_cap: int, dtype=None) -> np.ndarray:
+    """Matrix of u on a T-free expression in dtype, by default the kernel's."""
+    check_prime(p)
+    n = expr_dim(e, p)
+    if n > dim_cap:
+        raise DimensionCapError(f"expression dimension {n} exceeds the oracle cap {dim_cap}")
+    return _fill(e, p, np.zeros((n, n), dtype=dtype or _float_dtype(n, p)))
 
 
 def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatrix:
@@ -382,28 +413,17 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
     twists and duals act as the identity on the matrix; both facts are
     property-tested rather than assumed silently.
     """
-    check_prime(p)
-    total = expr_dim(e, p)
-    if total > dim_cap:
-        raise DimensionCapError(
-            f"expression dimension {total} exceeds the oracle cap {dim_cap}")
-
-    return _fold(e, lambda a: pascal_matrix(a.weight, p) if a.kind == "V" else
-                 functools.reduce(kron, (pascal_matrix(d, p) for d in
-                                         base_p_digits(a.weight, p).digits if d),
-                                  identity_matrix(1, p)),
-                 direct_sum, kron)
+    return _trusted(_build(e, p, dim_cap, np.int64), p)
 
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:
     """Jordan type of a T-free expression by explicit rank computations."""
-    return jordan_type_of_unipotent(expr_matrix(e, p, dim_cap))
+    return _partition_from_ranks(_ranks(_build(e, p, dim_cap), p), p)
 
 
 def oracle_certificate(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> dict:
     """Audit record for a verified expression: the rank sequence is the
-    raw evidence the Jordan type is derived from."""
-    M = expr_matrix(e, p, dim_cap)
-    ranks = rank_sequence(M)
-    return {"expr": render_expr(e), "p": p, "dim": M.rows, "ranks": ranks,
-            "jordan": _partition_from_ranks(ranks, p).as_pairs()}
+    raw evidence the Jordan type is derived from; dtype is the kernel's."""
+    ranks = _ranks(N := _build(e, p, dim_cap), p)
+    return {"expr": render_expr(e), "p": p, "dim": ranks[0], "dtype": N.dtype.name,
+            "ranks": ranks, "jordan": _partition_from_ranks(ranks, p).as_pairs()}

@@ -252,7 +252,7 @@ def test_oracle_verify(capsys):
     code, out, _ = run(capsys, "oracle-verify", "-p", "5", "L(14)")
     assert code == 0
     cert = json.loads(out)
-    assert cert == {"expr": "L(14)", "p": 5, "dim": 15,
+    assert cert == {"expr": "L(14)", "p": 5, "dim": 15, "dtype": "float32",
                     "ranks": [15, 12, 9, 6, 3, 0], "jordan": [[5, 3]]}
 
 

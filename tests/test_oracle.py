@@ -8,7 +8,7 @@ import pytest
 
 from helpers import column_rank, naive_rank, rand_expr, unit_upper_inverse
 from unipjordan.core import DomainError, JordanType, parse_partition
-from unipjordan.expr import Atom, Dual, Tensor, Twist, parse_expr
+from unipjordan.expr import Atom, Dual, Tensor, Twist, parse_expr, render_expr
 from unipjordan.oracle import (
     DimensionCapError,
     FpMatrix,
@@ -28,6 +28,56 @@ from unipjordan.oracle import (
 from unipjordan.sl2 import eval_expr, tensor_jordan, tilting_dim, weyl_jordan
 
 
+def reference_matrix(e, p):
+    """Matrix of u on a T-free expression by plain int64 numpy: Pascal
+    rows by the binomial recurrence, np.kron, block placement, then % p."""
+    if isinstance(e, (Dual, Twist)):
+        return reference_matrix(e.inner, p)
+    if isinstance(e, Atom) and e.kind == "V":
+        n = e.weight + 1
+        P = np.zeros((n, n), dtype=np.int64)
+        P[0] = 1
+        for i in range(1, n):  # C(j, i) = C(j-1, i-1) + C(j-1, i)
+            P[i, i:] = np.cumsum(P[i - 1, i - 1:n - 1]) % p
+        return P
+    if isinstance(e, Atom):  # Steinberg: L(l) = (x) V(d) over the base-p digits d
+        M, w = np.ones((1, 1), dtype=np.int64), e.weight
+        while w:
+            w, d = divmod(w, p)
+            M = np.kron(M, reference_matrix(Atom("V", d), p)) % p
+        return M
+    A, B = reference_matrix(e.left, p), reference_matrix(e.right, p)
+    if isinstance(e, Tensor):
+        return np.kron(A, B) % p
+    out = np.zeros((A.shape[0] + B.shape[0],) * 2, dtype=np.int64)
+    out[:A.shape[0], :A.shape[0]], out[A.shape[0]:, A.shape[0]:] = A, B
+    return out
+
+
+def small_trees(seed, count, max_dim):
+    """(tree, p) pairs of T-free trees of dimension <= max_dim, with sums,
+    tensors, twists and duals, at p = 2, 3, 5, 7 and at 1009, where the
+    kernel works in float64."""
+    rng = random.Random(seed)
+    primes = (2, 3, 5, 7, 1009)
+    out = []
+    while len(out) < count:
+        p = primes[len(out) % len(primes)]
+        e = rand_expr(rng, depth=rng.randrange(0, 4), p=p, kinds="LV",
+                      max_weight=3 * p * p if p < 100 else 2 * p + 40)
+        if expr_dim(e, p) <= max_dim:
+            out.append((e, p))
+    return out
+
+
+def node_kinds(e):
+    if isinstance(e, Atom):
+        return {e.kind}
+    if isinstance(e, (Dual, Twist)):
+        return {type(e).__name__} | node_kinds(e.inner)
+    return {type(e).__name__} | node_kinds(e.left) | node_kinds(e.right)
+
+
 class TestFpMatrix:
     def test_entry_validation(self):
         with pytest.raises(DomainError):
@@ -36,6 +86,17 @@ class TestFpMatrix:
             FpMatrix(np.array([[-1]], dtype=np.int64), 5)
         with pytest.raises(DomainError):
             FpMatrix(np.array([1, 2], dtype=np.int64), 5)
+
+    def test_builder_outputs_pass_the_public_check(self):
+        # builders skip the entry scan; their results must still pass it
+        for e, p in small_trees(20, 100, 300):
+            M = expr_matrix(e, p)
+            parts = [M, pascal_matrix(expr_dim(e, p) - 1, p), identity_matrix(3, p)]
+            parts += [kron(M, pascal_matrix(p - 1 if p < 100 else 2, p)),
+                      direct_sum(M, parts[1])]
+            for X in parts:
+                assert X.array.dtype == np.int64
+                assert np.array_equal(FpMatrix(X.array, p).array, X.array)
 
     def test_pascal_examples(self):
         assert pascal_matrix(1, 7).array.tolist() == [[1, 1], [0, 1]]
@@ -109,6 +170,9 @@ class TestRank:
                 else:
                     A = rng.integers(0, p, (m, n))
                 assert rank_mod_p(A, p) == naive_rank(A, p)
+                # integers outside [0, p) are reduced first
+                shifted = A + p * rng.integers(-3, 4, A.shape)
+                assert rank_mod_p(shifted, p) == naive_rank(A, p)
 
     def test_blocked_path_against_reference(self):
         # shapes on both sides of the kernel's block width, so that reductions
@@ -232,6 +296,21 @@ class TestOracleEval:
         # the cap is configurable
         oracle_eval(parse_expr("V(9)*V(9)"), 5, dim_cap=100)
 
+    def test_build_matches_int64_reference(self):
+        # the matrix is built once, in place: in the kernel's float type
+        # for the certificate path and in int64 for expr_matrix
+        import unipjordan.oracle as oracle_mod
+        seen = set()
+        for e, p in small_trees(21, 250, 300):
+            want = reference_matrix(e, p)
+            n = want.shape[0]
+            got = oracle_mod._build(e, p, 300)
+            assert got.dtype == oracle_mod._float_dtype(n, p)
+            assert np.array_equal(got, want), (render_expr(e), p)
+            assert np.array_equal(expr_matrix(e, p).array, want)
+            seen |= node_kinds(e) | {got.dtype.name}
+        assert seen >= {"L", "V", "Sum", "Tensor", "Twist", "Dual", "float32", "float64"}
+
     def test_twist_and_dual_act_trivially_on_matrices(self):
         # entries lie in the prime field, fixed by Frobenius; this is a
         # tested invariant rather than an assumption
@@ -276,8 +355,13 @@ class TestCertificate:
         assert cert["expr"] == "V(10)"
         assert cert["p"] == 5
         assert cert["dim"] == 11
+        assert cert["dtype"] == "float32"
         assert cert["ranks"] == [11, 8, 6, 4, 2, 0]
         assert cert["jordan"] == [[5, 2], [1, 1]]
+        # 40 (1009 - 1)^2 + 1009 is past the float32 bound
+        cert = oracle_certificate(parse_expr("V(39)"), 1009)
+        assert cert["dtype"] == "float64"
+        assert cert["ranks"] == list(range(40, -1, -1))
 
     def test_round_trips_through_json(self):
         import json

@@ -59,7 +59,7 @@ def test_closed_form_commands_do_not_load_numpy():
     (jordan_code, jordan_out), (verify_code, verify_out) = got["oracle"]
     assert jordan_code == 0 and jordan_out == "5^5 1"
     assert verify_code == 0 and json.loads(verify_out) == {
-        "expr": "L(14)", "p": 5, "dim": 15, "ranks": [15, 12, 9, 6, 3, 0],
+        "expr": "L(14)", "p": 5, "dim": 15, "dtype": "float32", "ranks": [15, 12, 9, 6, 3, 0],
         "jordan": [[5, 3]]}
 
 
