@@ -14,23 +14,14 @@ optional default class-table path for ``identify``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
 
-from .classtables import bundled_table, identify_from_expr, load_class_table
+# Only what the parser and the SL2 commands need is imported here; every
+# other command imports its own modules, so a call loads only what it runs.
 from .core import DEFAULT_DIM_CAP, DomainError, parse_int, parse_partition, render_blocks
-from .distinguished import is_distinguished, lift_quotient_to_orthogonal
 from .expr import Atom, parse_expr
-from .extclassify import (
-    classify_dim4_p2,
-    enumerate_indecomposables,
-    ext1_nonzero,
-    nonsplit_ext_classify,
-    semisimplicity_verdict,
-)
-from .rootdata import parse_group_name, qm_structure, root_system
 from .sl2 import EvalResult, eval_expr, tensor_jordan, weyl_jordan
 
 PROG = "unipjordan"
@@ -38,6 +29,7 @@ PROG = "unipjordan"
 
 def _emit(args, payload: dict, human: str):
     if args.json:
+        import json
         print(json.dumps(payload))
     else:
         print(human)
@@ -84,12 +76,14 @@ def _cmd_tilting(args) -> int:
 
 
 def _cmd_ext(args) -> int:
+    from .extclassify import ext1_nonzero
     val = ext1_nonzero(args.lam, args.mu, args.p)
     _emit(args, {"verdict": val}, "true" if val else "false")
     return 0
 
 
 def _cmd_classify_ext(args) -> int:
+    from .extclassify import nonsplit_ext_classify
     v = nonsplit_ext_classify(args.lam, args.mu, args.p)
     payload: dict = {"verdict": v.kind}
     human = v.kind
@@ -101,6 +95,7 @@ def _cmd_classify_ext(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .extclassify import classify_dim4_p2, enumerate_indecomposables
     t = parse_partition(args.partition, args.p)
     if args.p == 2 and t.blocks == ((2, 2),):
         fams = classify_dim4_p2()
@@ -114,6 +109,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_semisimple(args) -> int:
+    from .extclassify import semisimplicity_verdict
     t = parse_partition(args.partition, args.p)
     v = semisimplicity_verdict(t, args.self_dual, args.p)
     _emit(args, {"verdict": v.verdict}, f"{v.verdict}\nreason: {v.reason}")
@@ -121,6 +117,7 @@ def _cmd_semisimple(args) -> int:
 
 
 def _cmd_distinguished(args) -> int:
+    from .distinguished import is_distinguished
     t = parse_partition(args.partition, args.p)
     v = is_distinguished(args.group, args.p, t, args.dim,
                          orthogonal_witness=args.witness)
@@ -134,6 +131,7 @@ def _cmd_distinguished(args) -> int:
 
 
 def _cmd_lift_bd(args) -> int:
+    from .distinguished import lift_quotient_to_orthogonal
     if args.p != 2:
         raise DomainError("the stabilizer lift applies in characteristic 2 only")
     t = parse_partition(args.partition, 2)
@@ -143,6 +141,7 @@ def _cmd_lift_bd(args) -> int:
 
 
 def _cmd_qm(args) -> int:
+    from .rootdata import parse_group_name, qm_structure, root_system
     letter, rank = parse_group_name(args.group)
     rs = root_system(letter, rank)
     q = qm_structure(rs, args.p)
@@ -160,6 +159,7 @@ def _cmd_qm(args) -> int:
 
 
 def _cmd_identify(args) -> int:
+    from .classtables import bundled_table, identify_from_expr, load_class_table
     if args.table:
         table = load_class_table(args.table)
     elif os.environ.get("UNIP_CLASS_TABLE"):
@@ -190,6 +190,8 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
+    import json
+
     from .oracle import oracle_certificate
     e = parse_expr(args.expr)
     cert = oracle_certificate(e, args.p, args.dim_cap)

@@ -219,14 +219,31 @@ class TestJordanOfUnipotent:
         # the same matrix is fine at p = 5
         assert jordan_type_of_unipotent(FpMatrix(J4, 5)) == parse_partition("4", 5)
 
-    def test_non_triangular_conjugate(self):
+    def test_non_triangular_conjugate(self, monkeypatch):
         # a permuted Pascal matrix is not triangular, so the level
-        # products take the general path, across several column blocks
+        # products take the general path, across several column blocks;
+        # conjugating keeps the rank of every power of M - I
+        import unipjordan.oracle as oracle_mod
+        flags = []
+        row_mul = oracle_mod._row_mul
+
+        def spy(R, pivcols, N, p, triangular):
+            flags.append(triangular)
+            return row_mul(R, pivcols, N, p, triangular)
+
+        monkeypatch.setattr(oracle_mod, "_row_mul", spy)
         rng = np.random.default_rng(13)
         for m, p in ((599, 2), (560, 5), (150, 7)):
             perm = rng.permutation(m + 1)
-            P = pascal_matrix(m, p).array[np.ix_(perm, perm)]
+            pascal = pascal_matrix(m, p)
+            flags.clear()
+            ranks = rank_sequence(pascal)
+            assert flags and all(flags)
+            P = pascal.array[np.ix_(perm, perm)]
             assert np.tril(P, -1).any()
+            flags.clear()
+            assert rank_sequence(FpMatrix(P, p)) == ranks
+            assert flags and not any(flags)
             assert jordan_type_of_unipotent(FpMatrix(P, p)) == weyl_jordan(m, p)
 
     def test_rejects_non_square(self):
@@ -442,15 +459,14 @@ class TestEchelonRowSpace:
             R, piv = oracle_mod._echelon(A.astype(np.float64) % p, p)
             r = R.shape[0]
             assert r == rank(A, p) == len(piv)
-            for i in range(r):
-                assert R[i, piv[i]] == 1
-                assert all(R[j, piv[i]] == 0 for j in range(i + 1, r))
+            # unit pivots, and zeros below each pivot
+            assert np.array_equal(np.tril(R[:, piv]), np.eye(r))
             if r:
                 stacked = np.vstack([A % p, R.astype(np.int64)])
                 assert rank(stacked, p) == r
 
         # a single panel, then shapes across the block width
-        for lo, hi in ((1, 100), (B - 30, B + 50)):
+        for lo, hi, rank in ((1, 100, naive_rank), (B - 30, B + 50, column_rank)):
             for p in (2, 3, 5, 7):
                 for trial in range(10):
                     m = int(rng.integers(lo, hi))
@@ -460,7 +476,7 @@ class TestEchelonRowSpace:
                         k = int(rng.integers(1, min(m, n) + 1))
                         A = (rng.integers(0, p, (m, k))
                              @ rng.integers(0, p, (k, n))) % p
-                    check(A, p, naive_rank)
+                    check(A, p, rank)
         # three blocks at a large prime, dense and rank-deficient: panels
         # of many rounds carry their reductions into the later blocks
         p = 101
