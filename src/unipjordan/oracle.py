@@ -12,11 +12,21 @@ each row against all of a block's pivots at once, over the row's whole
 trailing width.  Matrices are built once, in place, in the float type
 that _float_dtype proves exact (int64 for the public builders), and each
 product is reduced into [0, p) where it is made.
+
+The certificate path (oracle_certificate, oracle_eval) eliminates each
+direct summand on its own.  Ranks of powers add over a block-diagonal
+matrix, and kron distributes over direct sums up to a permutation
+similarity, so an expression above _BLOCK rows is split into its
+sum-free terms, which are packed in order into diagonal blocks of at
+most _BLOCK rows and ranked block by block; the rank sequence reported
+is the sum of theirs, the same as that of the whole matrix.
+expr_matrix still builds the whole matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -397,13 +407,62 @@ def _fill(e: ModuleExpr, p: int, out: np.ndarray) -> np.ndarray:
                       _fill(e.right, p, np.zeros((h, h), out.dtype)), p, out)
 
 
-def _build(e: ModuleExpr, p: int, dim_cap: int, dtype=None) -> np.ndarray:
-    """Matrix of u on a T-free expression in dtype, by default the kernel's."""
+def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> int:
+    """Dimension of a T-free expression, after the prime and dimension-cap checks."""
     check_prime(p)
     n = expr_dim(e, p)
     if n > dim_cap:
         raise DimensionCapError(f"expression dimension {n} exceeds the oracle cap {dim_cap}")
+    return n
+
+
+def _build(e: ModuleExpr, p: int, dim_cap: int, dtype=None) -> np.ndarray:
+    """Matrix of u on a T-free expression in dtype, by default the kernel's."""
+    n = _checked_dim(e, p, dim_cap)
     return _fill(e, p, np.zeros((n, n), dtype=dtype or _float_dtype(n, p)))
+
+
+def _terms(e: ModuleExpr) -> list[ModuleExpr]:
+    """Sum-free terms of e, in order, whose direct sum is similar to e:
+    duals and twists act as the identity, and kron distributes over direct
+    sums up to a permutation similarity."""
+    if isinstance(e, (Dual, Twist)):
+        return _terms(e.inner)
+    if isinstance(e, Sum):
+        return _terms(e.left) + _terms(e.right)
+    if isinstance(e, Tensor):
+        return [Tensor(a, b) for a in _terms(e.left) for b in _terms(e.right)]
+    return [e]
+
+
+def _block_ranks(e: ModuleExpr, p: int, dim_cap: int) -> tuple[list[int], np.dtype]:
+    """rank_sequence of u on e and the kernel's dtype for e's dimension.
+
+    Ranks of powers add over a block-diagonal matrix.  So above _BLOCK rows
+    the terms of e are packed, in order, into diagonal blocks of at most
+    _BLOCK rows (a larger term is a block of its own), each block is ranked
+    on its own, and the sequences are summed; e of at most _BLOCK rows is
+    one block.  Every block uses the dtype of the whole dimension.
+    """
+    n = _checked_dim(e, p, dim_cap)
+    dtype = np.dtype(_float_dtype(n, p))
+    blocks, size = [], _BLOCK
+    for t in _terms(e) if n > _BLOCK else [e]:
+        d = expr_dim(t, p)
+        if size + d > _BLOCK:
+            blocks.append([])
+            size = 0
+        blocks[-1].append((t, d))
+        size += d
+    ranks = [0]
+    for block in blocks:
+        N = np.zeros((sum(d for _, d in block),) * 2, dtype)
+        at = 0
+        for t, d in block:
+            _fill(t, p, N[at:at + d, at:at + d])
+            at += d
+        ranks = [a + b for a, b in itertools.zip_longest(ranks, _ranks(N, p), fillvalue=0)]
+    return ranks, dtype
 
 
 def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatrix:
@@ -418,12 +477,12 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:
     """Jordan type of a T-free expression by explicit rank computations."""
-    return _partition_from_ranks(_ranks(_build(e, p, dim_cap), p), p)
+    return _partition_from_ranks(_block_ranks(e, p, dim_cap)[0], p)
 
 
 def oracle_certificate(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> dict:
     """Audit record for a verified expression: the rank sequence is the
     raw evidence the Jordan type is derived from; dtype is the kernel's."""
-    ranks = _ranks(N := _build(e, p, dim_cap), p)
-    return {"expr": render_expr(e), "p": p, "dim": ranks[0], "dtype": N.dtype.name,
+    ranks, dtype = _block_ranks(e, p, dim_cap)
+    return {"expr": render_expr(e), "p": p, "dim": ranks[0], "dtype": dtype.name,
             "ranks": ranks, "jordan": _partition_from_ranks(ranks, p).as_pairs()}

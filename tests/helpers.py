@@ -67,20 +67,31 @@ def unit_upper_inverse(Q: np.ndarray, p: int) -> np.ndarray:
 
 def column_rank(A, p: int) -> int:
     """Textbook Gaussian elimination over GF(p), one column per step, each
-    step vectorized over the rows in int64."""
+    step vectorized over the rows in int64.
+
+    A step reduces mod p only the pivot column and the pivot row, and
+    updates only the columns from the pivot on.  Every other entry then
+    changes by a product of two residues, less than p^2, per step, so the
+    entries stay below p + min(m, n) p^2 in magnitude: exact in int64
+    while that is under 2^63.
+    """
     A = np.array(A, dtype=np.int64) % p
     m, n = A.shape
     row = 0
     for col in range(n):
-        nz = np.flatnonzero(A[row:, col])
+        column = A[row:, col]
+        column %= p
+        nz = np.flatnonzero(column)
         if not nz.size:
             continue
         pr = row + nz[0]
         A[[row, pr]] = A[[pr, row]]
-        A[row] = (A[row] * pow(int(A[row, col]), -1, p)) % p
-        below = A[row + 1:]
-        below -= np.outer(below[:, col], A[row])
-        below %= p
+        pivot = A[row, col:]
+        pivot %= p
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
+        below = A[row + 1:, col:]
+        below -= np.outer(below[:, 0], pivot)
         row += 1
         if row == m:
             break

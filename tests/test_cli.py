@@ -248,12 +248,19 @@ def test_identify_not_found(capsys):
     assert out.splitlines()[0] == "NotFound"
 
 
-def test_oracle_verify(capsys):
-    code, out, _ = run(capsys, "oracle-verify", "-p", "5", "L(14)")
+@pytest.mark.parametrize("expr,cert", [
+    ("L(14)", {"expr": "L(14)", "p": 5, "dim": 15, "dtype": "float32",
+               "ranks": [15, 12, 9, 6, 3, 0], "jordan": [[5, 3]]}),
+    # 282 rows, ranked as diagonal blocks of 164 and 82 + 24 + 12 rows
+    ("(V(40)+L(7))*(V(3)+V(1))",
+     {"expr": "(V(40)+L(7))*(V(3)+V(1))", "p": 5, "dim": 282, "dtype": "float32",
+      "ranks": [282, 222, 164, 107, 53, 0],
+      "jordan": [[5, 53], [4, 1], [3, 3], [2, 1], [1, 2]]}),
+], ids=["single-block", "multi-block"])
+def test_oracle_verify(capsys, expr, cert):
+    code, out, _ = run(capsys, "oracle-verify", "-p", "5", expr)
     assert code == 0
-    cert = json.loads(out)
-    assert cert == {"expr": "L(14)", "p": 5, "dim": 15, "dtype": "float32",
-                    "ranks": [15, 12, 9, 6, 3, 0], "jordan": [[5, 3]]}
+    assert json.loads(out) == cert
 
 
 def test_oracle_verify_dim_cap(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import column_rank, naive_rank, rand_expr, unit_upper_inverse
 from unipjordan.core import DomainError, JordanType, parse_partition
-from unipjordan.expr import Atom, Dual, Tensor, Twist, parse_expr, render_expr
+from unipjordan.expr import Atom, Dual, Sum, Tensor, Twist, parse_expr, render_expr
 from unipjordan.oracle import (
     DimensionCapError,
     FpMatrix,
@@ -76,6 +76,54 @@ def node_kinds(e):
     if isinstance(e, (Dual, Twist)):
         return {type(e).__name__} | node_kinds(e.inner)
     return {type(e).__name__} | node_kinds(e.left) | node_kinds(e.right)
+
+
+def sum_places(e):
+    """Where e has sums: in a tensor's left or right factor, under a dual
+    or under a twist."""
+    if isinstance(e, Atom):
+        return set()
+    if isinstance(e, (Dual, Twist)):
+        over = {f"{type(e).__name__} over Sum"} if "Sum" in node_kinds(e.inner) else set()
+        return over | sum_places(e.inner)
+    out = sum_places(e.left) | sum_places(e.right)
+    if isinstance(e, Tensor):
+        out |= {f"Sum in {side} factor" for side, f in (("left", e.left), ("right", e.right))
+                if "Sum" in node_kinds(f)}
+    return out
+
+
+def block_trees(seed, count, block):
+    """(tree, p) pairs of T-free trees of dimension at most 600 for the
+    block split, at p = 2, 3, 5, 7: random trees; tensors of two sums with
+    duals and twists over them; and sums of dimension block - 1, block and
+    block + 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = (2, 3, 5, 7)[len(out) % 4]
+        shape = len(out) % 3
+
+        def small():
+            return rand_expr(rng, depth=rng.randrange(0, 3), p=p, kinds="LV", max_weight=12)
+
+        def wrap(x):
+            return rng.choice((x, Dual(x), Twist(x, rng.randrange(1, 3))))
+
+        if shape == 0:
+            e = rand_expr(rng, depth=rng.randrange(1, 5), p=p, kinds="LV")
+        elif shape == 1:
+            e = wrap(Tensor(wrap(Sum(small(), small())), wrap(Sum(small(), small()))))
+        else:
+            target = block - 1 + (len(out) // 3) % 3
+            core = Tensor(wrap(Sum(small(), small())), wrap(Sum(small(), small())))
+            if expr_dim(core, p) >= target:
+                continue
+            pad = Atom("V", target - expr_dim(core, p) - 1)
+            e = wrap(Sum(core, pad) if rng.random() < 0.5 else Sum(pad, core))
+        if expr_dim(e, p) <= 600:
+            out.append((e, p))
+    return out
 
 
 class TestFpMatrix:
@@ -312,6 +360,66 @@ class TestOracleEval:
             oracle_eval(parse_expr("V(99)*V(99)"), 5, dim_cap=4096)
         # the cap is configurable
         oracle_eval(parse_expr("V(9)*V(9)"), 5, dim_cap=100)
+
+    def test_dim_cap_checked_before_any_term(self, monkeypatch):
+        import unipjordan.oracle as oracle_mod
+
+        def fail(*args):
+            raise AssertionError("a term was made past the dimension cap")
+
+        monkeypatch.setattr(oracle_mod, "_fill", fail)
+        monkeypatch.setattr(oracle_mod, "_terms", fail)
+        long_sum = parse_expr("+".join(["V(63)"] * 40))  # 2560 rows
+        for f in (oracle_eval, oracle_certificate):
+            with pytest.raises(DimensionCapError):
+                f(Tensor(long_sum, long_sum), 5)
+
+    def test_block_ranks_match_whole_matrix(self, monkeypatch):
+        # above _BLOCK rows the certificate path ranks the sum-free terms,
+        # packed into diagonal blocks, one block at a time; the summed
+        # sequence must be the rank sequence of the whole matrix
+        import unipjordan.oracle as oracle_mod
+        B = oracle_mod._BLOCK
+        cases = [(e, p, oracle_mod._ranks(oracle_mod._build(e, p, 4096), p))
+                 for e, p in block_trees(31, 240, B)]
+        fill, ranks, terms = oracle_mod._fill, oracle_mod._ranks, oracle_mod._terms
+        filled, sizes, split = [], [], []
+
+        def spy_fill(e, p, out):
+            filled.append(e)
+            return fill(e, p, out)
+
+        def spy_ranks(N, p):
+            sizes.append(N.shape[0])
+            return ranks(N, p)
+
+        def spy_terms(e):
+            split.append(e)
+            return terms(e)
+
+        monkeypatch.setattr(oracle_mod, "_fill", spy_fill)
+        monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
+        monkeypatch.setattr(oracle_mod, "_terms", spy_terms)
+        seen = set()
+        for e, p, want in cases:
+            for log in (filled, sizes, split):
+                log.clear()
+            n = want[0]
+            cert = oracle_certificate(e, p)
+            assert cert["ranks"] == want, (render_expr(e), p)
+            assert cert["dtype"] == np.dtype(oracle_mod._float_dtype(n, p)).name
+            assert sum(sizes) == n
+            if split:
+                # only sum-free terms are built, never the whole matrix
+                assert n > B and not any("Sum" in node_kinds(f) for f in filled)
+                seen.add("split" if len(sizes) > 1 else "one term")
+            else:
+                assert n <= B and sizes == [n]
+                seen.add("single")
+            seen |= sum_places(e) | {f"dim {n}"}
+        assert seen >= {"split", "one term", "single", "dim 127", "dim 128", "dim 129",
+                        "Sum in left factor", "Sum in right factor",
+                        "Dual over Sum", "Twist over Sum"}
 
     def test_build_matches_int64_reference(self):
         # the matrix is built once, in place: in the kernel's float type
