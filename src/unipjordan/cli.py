@@ -160,12 +160,8 @@ def _cmd_qm(args) -> int:
 
 def _cmd_identify(args) -> int:
     from .classtables import bundled_table, identify_from_expr, load_class_table
-    if args.table:
-        table = load_class_table(args.table)
-    elif os.environ.get("UNIP_CLASS_TABLE"):
-        table = load_class_table(os.environ["UNIP_CLASS_TABLE"])
-    else:
-        table = bundled_table()
+    path = args.table or os.environ.get("UNIP_CLASS_TABLE")
+    table = load_class_table(path) if path else bundled_table()
     e = parse_expr(args.expr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

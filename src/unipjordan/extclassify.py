@@ -11,12 +11,13 @@ are exactly the twisted Weyl modules and their duals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import DomainError, JordanType, base_p_digits, check_prime, nu_p
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist
-from .sl2 import eval_expr, tensor_jordan_types, weyl_jordan
+from .sl2 import eval_expr, irrep_jordan, weyl_jordan
 
 
 def ext1_nonzero(lam: int, mu: int, p: int) -> bool:
@@ -144,7 +145,7 @@ class Family:
             if len(exponents) != len(self.digits):
                 raise DomainError("need one exponent per digit")
             factors = [_twisted(Atom("L", d), e) for d, e in zip(self.digits, exponents)]
-            return _tensor_all(factors) if factors else Atom("L", 0)
+            return functools.reduce(Tensor, factors) if factors else Atom("L", 0)
         if self.kind in ("weyl", "dual-weyl"):
             (l,) = exponents
             node: ModuleExpr = Atom("V", self.c)
@@ -162,13 +163,6 @@ class Family:
 
 def _twisted(node: ModuleExpr, l: int) -> ModuleExpr:
     return Twist(node, l) if l >= 1 else node
-
-
-def _tensor_all(factors: list[ModuleExpr]) -> ModuleExpr:
-    node = factors[0]
-    for f in factors[1:]:
-        node = Tensor(node, f)
-    return node
 
 
 def _digit_multisets(target_dim: int, max_digit: int) -> list[tuple[int, ...]]:
@@ -208,10 +202,8 @@ def enumerate_indecomposables(t: JordanType, p: int) -> list[Family]:
         raise DomainError(f"blocks exceed {p}: not a type of an order-{p} element")
     families: list[Family] = []
     for digits in _digit_multisets(t.dim, p - 1):
-        folded = JordanType.from_blocks([(1, 1)], p)
-        for d in digits:
-            folded = tensor_jordan_types(folded, JordanType.from_blocks([(d + 1, 1)], p))
-        if folded == t:
+        # the irreducible whose base-p digits are these
+        if irrep_jordan(sum(d * p ** i for i, d in enumerate(digits)), p) == t:
             names = [f"n{i}" for i in range(1, len(digits) + 1)]
             template = "*".join(
                 f"L({d})[{nm}]" for d, nm in zip(digits, names)) or "L(0)"

@@ -20,7 +20,7 @@ similarity, so an expression above _BLOCK rows is split into its
 sum-free terms, which are packed in order into diagonal blocks of at
 most _BLOCK rows and ranked block by block; the rank sequence reported
 is the sum of theirs, the same as that of the whole matrix.
-expr_matrix still builds the whole matrix.
+expr_matrix builds the whole matrix.
 """
 
 from __future__ import annotations
@@ -179,21 +179,20 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _panel(W: np.ndarray, w: int, p: int):
+def _panel(W: np.ndarray, w: int, p: int) -> np.ndarray:
     """Echelonize the first w columns of the reduced rows W in place by
-    full-reduction rounds.
+    full-reduction rounds; return the pivot columns in increasing order.
 
     Each round, the first row to reach a free leading column among the
-    first w owns it, as a pivot, for good.  Every other live row H is
-    reduced against all owners O at once, over the whole width of W: with
-    U = O on the owned columns (upper triangular in lead order) it
-    subtracts X O for X = H[:, owned] U^-1, so its new lead is a free
-    column or lies past column w.  An owner is final at its claim and no
-    round touches it again.  Returns (pivot columns in increasing order,
-    their owner rows, the inverses of their leading entries).
+    first w owns it, as a pivot, for good: the row is scaled to a unit
+    pivot at its claim and no round touches it again.  Every other live
+    row H is reduced against all owners O at once, over the whole width of
+    W: with I + S = O on the owned columns (unit upper triangular in lead
+    order) it subtracts X O for X = H[:, owned] (I + S)^-1, so its new
+    lead is a free column or lies past column w.  Finally the owners move,
+    in lead order, to the top of W.
     """
     owner = np.full(w, -1, dtype=np.intp)
-    dinv = np.zeros(w, dtype=W.dtype)
     act, sub = np.arange(W.shape[0]), W
     while True:
         lead = (sub[:, :w] != 0).argmax(axis=1)
@@ -204,40 +203,49 @@ def _panel(W: np.ndarray, w: int, p: int):
             cols, first = np.unique(lead[free], return_index=True)
             claim = free.nonzero()[0][first]
             owner[cols] = act[claim]
-            dinv[cols] = [pow(int(v), -1, p) for v in val[claim].tolist()]
             hit[claim] = False
+            if (val[claim] != 1).any():
+                inv = [pow(int(v), -1, p) for v in val[claim].tolist()]
+                W[act[claim]] = _reduce(W[act[claim]] * np.array(inv, W.dtype)[:, None], p)
         if not hit.any():
             break
         pc = (owner >= 0).nonzero()[0]
         pc = pc[pc >= lead[hit].min()]
         act, sub = act[hit], sub[hit]
-        O, d = W[owner[pc]], dinv[pc]
-        # U D = I + S, unit upper triangular, and X = H[:, pc] D (I + S)^-1
-        S = O[:, pc] * d
+        O = W[owner[pc]]
+        S = O[:, pc]
         S.flat[::pc.size + 1] = 0
-        X = _unipotent_solve(S.T, (sub[:, pc] * d).T, p).T
-        sub -= X @ O
+        sub -= _unipotent_solve(S, sub[:, pc], p) @ O
         W[act] = _reduce(sub, p)
         if not sub[:, :w].any():
             break
     pc = (owner >= 0).nonzero()[0]
-    return pc, owner[pc], dinv[pc]
+    prow, r = owner[pc], pc.size
+    if w == W.shape[1]:
+        # last block: only the owners are kept
+        W[:r] = W[prow]
+    else:
+        # the non-owner rows the owners displace take their vacated places
+        vacated = prow[prow >= r]
+        W[np.concatenate([np.arange(r), vacated])] = \
+            W[np.concatenate([prow, np.setdiff1d(np.arange(r), prow)])]
+    return pc
 
 
 def _unipotent_solve(S: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """(I + S)^-1 B mod p for nilpotent S (S, B: products of residues).
+    """B (I + S)^-1 mod p for nilpotent S (S, B: products of residues).
 
     For any nilpotent M = -S, (I - M)^-1 = (I + M)(I + M^2)(I + M^4)...:
-    each product maps [X | M] to [X + M X | M^2], so S of nilpotency
+    each product maps [X; M] to [X + X M; M^2], so S of nilpotency
     index k takes ceil(log2 k) products, and S = 0 none.
     """
-    k = B.shape[1]
-    Z = _reduce(np.concatenate([B, -S], axis=1), p)
-    while Z[:, k:].any():
-        Y = Z[:, k:] @ Z
-        Y[:, :k] += Z[:, :k]
+    k = B.shape[0]
+    Z = _reduce(np.concatenate([B, -S]), p)
+    while Z[k:].any():
+        Y = Z @ Z[k:]
+        Y[:k] += Z[:k]
         Z = _reduce(Y, p)
-    return Z[:, :k]
+    return Z[:k]
 
 
 def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -246,8 +254,8 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     A is a C-ordered float array of residues, sized within the _float_dtype
     bound; it is destroyed.  Each column block of width _BLOCK goes
     through _panel, which carries every reduction across the rows' whole
-    trailing width, so the rows stay reduced and the pivot rows are final.
-    These are moved, in lead order, to the top and scaled to unit pivots.
+    trailing width and leaves the block's pivot rows final, with unit
+    pivots, in lead order below those of the earlier blocks.
     Returns (R, pivot columns): R is a view of A with unit pivots, and
     R[:, pivcols] is unit upper triangular.
     """
@@ -258,27 +266,9 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for col in range(0, n, _BLOCK):
         if top == m:
             break
-        end = min(col + _BLOCK, n)
-        rows = A[top:]
-        pc, prow, dinv = _panel(rows[:, col:], end - col, p)
-        r = pc.size
-        if not r:
-            continue
-        if end == n:
-            # last block: only the pivot rows, in lead order, are kept
-            rows[:r, col:] = rows[prow, col:]
-        else:
-            # move the pivot rows, in lead order, to the top of the block;
-            # the non-pivot rows they displace take the vacated places
-            vacated = prow[prow >= r]
-            order = np.arange(rows.shape[0])
-            order[:r], order[vacated] = prow, np.setdiff1d(np.arange(r), prow)
-            moved = np.concatenate([np.arange(r), vacated])
-            rows[moved, col:] = rows[order[moved], col:]
-        if (dinv != 1).any():
-            _reduce(np.multiply(rows[:r, col:], dinv[:, None], out=rows[:r, col:]), p)
+        pc = _panel(A[top:, col:], min(_BLOCK, n - col), p)
         pivcols.extend((pc + col).tolist())
-        top += r
+        top += pc.size
     return A[:top], pivcols
 
 
@@ -339,8 +329,7 @@ def _ranks(N: np.ndarray, p: int) -> list[int]:
             raise NotUnipotentError(
                 f"(M - I)^{p} != 0: element is not unipotent of order dividing {p}")
         R, pivcols = _echelon(_row_mul(R, pivcols, N, p, triangular), p)
-    ranks.append(0)
-    return ranks
+    return ranks + [0] if ranks[-1] else ranks
 
 
 def jordan_type_of_unipotent(M: FpMatrix) -> JordanType:

@@ -126,6 +126,22 @@ def block_trees(seed, count, block):
     return out
 
 
+def float64_trees(seed, count):
+    """(tree, 107) pairs of T-free trees of 187 to 400 rows with sums: at
+    p = 107 their whole dimension needs float64, while a block of at most
+    128 rows alone would fit float32."""
+    rng = random.Random(seed)
+    out = [(parse_expr("V(100)+V(100)+V(10)"), 107)]
+    while len(out) < count:
+        def small():
+            return rand_expr(rng, depth=rng.randrange(0, 3), p=107, kinds="LV", max_weight=24)
+
+        e = Tensor(Sum(small(), small()), Sum(small(), small()))
+        if 187 <= expr_dim(e, 107) <= 400:
+            out.append((e, 107))
+    return out
+
+
 class TestFpMatrix:
     def test_entry_validation(self):
         with pytest.raises(DomainError):
@@ -239,9 +255,12 @@ class TestRank:
 
 class TestJordanOfUnipotent:
     def test_identity(self):
-        for n in (1, 4, 9):
+        for n in (0, 1, 4, 9):
+            # the rank sequence ends at its first zero, also for n = 0
+            assert rank_sequence(identity_matrix(n, 3)) == ([n, 0] if n else [0])
             assert jordan_type_of_unipotent(identity_matrix(n, 3)) == \
                 JordanType.from_blocks([(1, n)], 3)
+        assert str(jordan_type_of_unipotent(identity_matrix(0, 3))) == "0"
 
     def test_pascal_examples(self):
         assert jordan_type_of_unipotent(pascal_matrix(10, 5)) == parse_partition("5^2 1", 5)
@@ -381,9 +400,9 @@ class TestOracleEval:
         import unipjordan.oracle as oracle_mod
         B = oracle_mod._BLOCK
         cases = [(e, p, oracle_mod._ranks(oracle_mod._build(e, p, 4096), p))
-                 for e, p in block_trees(31, 240, B)]
+                 for e, p in block_trees(31, 240, B) + float64_trees(32, 8)]
         fill, ranks, terms = oracle_mod._fill, oracle_mod._ranks, oracle_mod._terms
-        filled, sizes, split = [], [], []
+        filled, sizes, dtypes, split = [], [], [], []
 
         def spy_fill(e, p, out):
             filled.append(e)
@@ -391,6 +410,7 @@ class TestOracleEval:
 
         def spy_ranks(N, p):
             sizes.append(N.shape[0])
+            dtypes.append(N.dtype.name)
             return ranks(N, p)
 
         def spy_terms(e):
@@ -402,12 +422,14 @@ class TestOracleEval:
         monkeypatch.setattr(oracle_mod, "_terms", spy_terms)
         seen = set()
         for e, p, want in cases:
-            for log in (filled, sizes, split):
+            for log in (filled, sizes, dtypes, split):
                 log.clear()
             n = want[0]
             cert = oracle_certificate(e, p)
             assert cert["ranks"] == want, (render_expr(e), p)
             assert cert["dtype"] == np.dtype(oracle_mod._float_dtype(n, p)).name
+            # every block runs in the dtype of the whole dimension
+            assert dtypes and all(d == cert["dtype"] for d in dtypes)
             assert sum(sizes) == n
             if split:
                 # only sum-free terms are built, never the whole matrix
@@ -416,8 +438,9 @@ class TestOracleEval:
             else:
                 assert n <= B and sizes == [n]
                 seen.add("single")
-            seen |= sum_places(e) | {f"dim {n}"}
+            seen |= sum_places(e) | {f"dim {n}", cert["dtype"]}
         assert seen >= {"split", "one term", "single", "dim 127", "dim 128", "dim 129",
+                        "float32", "float64",
                         "Sum in left factor", "Sum in right factor",
                         "Dual over Sum", "Twist over Sum"}
 
@@ -624,7 +647,7 @@ class TestEchelonRowSpace:
 
 class TestUnipotentSolve:
     def test_nilpotent_not_triangular(self):
-        # (I + S)^-1 B for S = -M, M nilpotent but conjugated out of
+        # B (I + S)^-1 for S = -M, M nilpotent but conjugated out of
         # triangular form; one M is a single long chain (index n)
         import unipjordan.oracle as oracle_mod
         rng = np.random.default_rng(14)
@@ -640,10 +663,10 @@ class TestUnipotentSolve:
                 assert np.array_equal((Q @ Qinv) % p, np.eye(n, dtype=np.int64))
                 M = (Q @ T @ Qinv) % p
                 assert np.tril(M, -1).any() and np.triu(M, 1).any()
-                B = rng.integers(0, p, (n, 3))
+                B = rng.integers(0, p, (3, n))
                 for rhs in (np.eye(n, dtype=np.int64), B):
                     X = oracle_mod._unipotent_solve((-M % p).astype(np.float64),
                                                     rhs.astype(np.float64), p)
                     X = X.astype(np.int64)
                     assert ((X >= 0) & (X < p)).all()
-                    assert np.array_equal(((np.eye(n, dtype=np.int64) - M) @ X) % p, rhs)
+                    assert np.array_equal((X @ (np.eye(n, dtype=np.int64) - M)) % p, rhs)
