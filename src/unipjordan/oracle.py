@@ -9,9 +9,15 @@ sequence of powers of (M - I).  Nothing here consults the closed forms.
 Rank computation is exact Gaussian elimination over GF(p) in numpy: one
 blocked kernel that finds pivots a column block at a time and reduces
 each row against all of a block's pivots at once, over the row's whole
-trailing width.  Matrices are built once, in place, in the float type
-that _float_dtype proves exact (int64 for the public builders), and each
-product is reduced into [0, p) where it is made.
+trailing width, through the inverse of their unit triangular block.
+That inverse is applied by doubling products that carry the rows along
+when they are at most as many as the pivots, and is formed on its own
+and applied in one product when they are more.  Each level product
+R (M - I) of the rank sequence groups R's rows by the column block of
+their pivot and multiplies each group from its pivot block on.
+Matrices are built once, in place, in the float type that _float_dtype
+proves exact (int64 for the public builders), and each product is
+reduced into [0, p) where it is made.
 
 The certificate path (oracle_certificate, oracle_eval) eliminates each
 direct summand on its own.  Ranks of powers add over a block-diagonal
@@ -37,8 +43,7 @@ from .core import DEFAULT_DIM_CAP, DomainError, JordanType, base_p_digits, check
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist, render_expr
 
 _BLOCK = 128
-_MUL_CHUNKS = 8
-_MUL_COLS = 512
+_MUL_COLS = 256
 
 
 class NotUnipotentError(DomainError):
@@ -147,8 +152,9 @@ def _float_dtype(n: int, p: int):
     #  - an input product R @ N of reduced factors is at most n(p-1)^2;
     #  - a panel round subtracts a product X O of reduced factors, at
     #    most n(p-1)^2, from entries in [0, p) and reduces the result;
-    #  - unipotent solves and row scalings multiply or sum at most n
-    #    products of reduced residues.
+    #  - a unipotent solve's doubling step X + X M, its last product
+    #    B (I + S)^-1 and a row scaling each sum at most n products of
+    #    reduced residues, plus at most one residue.
     # BLAS partial sums of nonnegative products never exceed their total.
     # The limits below keep a factor of two under those of _reduce (2^22
     # in float32, 2^51 in float64; see there), which in turn sit under
@@ -200,8 +206,13 @@ def _panel(W: np.ndarray, w: int, p: int) -> np.ndarray:
         hit = val != 0
         free = hit & (owner[lead] < 0)
         if free.any():
-            cols, first = np.unique(lead[free], return_index=True)
-            claim = free.nonzero()[0][first]
+            # the first free row at each distinct lead claims it
+            claim = free.nonzero()[0]
+            claim = claim[np.argsort(lead[claim], kind="stable")]
+            cols = lead[claim]
+            first = np.ones(cols.size, dtype=bool)
+            first[1:] = cols[1:] != cols[:-1]
+            claim, cols = claim[first], cols[first]
             owner[cols] = act[claim]
             hit[claim] = False
             if (val[claim] != 1).any():
@@ -226,20 +237,26 @@ def _panel(W: np.ndarray, w: int, p: int) -> np.ndarray:
         W[:r] = W[prow]
     else:
         # the non-owner rows the owners displace take their vacated places
-        vacated = prow[prow >= r]
-        W[np.concatenate([np.arange(r), vacated])] = \
-            W[np.concatenate([prow, np.setdiff1d(np.arange(r), prow)])]
+        stay = np.ones(r, dtype=bool)
+        stay[prow[prow < r]] = False
+        W[np.concatenate([np.arange(r), prow[prow >= r]])] = \
+            W[np.concatenate([prow, stay.nonzero()[0]])]
     return pc
 
 
 def _unipotent_solve(S: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """B (I + S)^-1 mod p for nilpotent S (S, B: products of residues).
+    """B (I + S)^-1 mod p for nilpotent S; S and B hold residues in [0, p).
 
     For any nilpotent M = -S, (I - M)^-1 = (I + M)(I + M^2)(I + M^4)...:
     each product maps [X; M] to [X + X M; M^2], so S of nilpotency
-    index k takes ceil(log2 k) products, and S = 0 none.
+    index k takes ceil(log2 k) products, and S = 0 none.  B with at most
+    as many rows as S rides in X from the start; a taller B would widen
+    every product, so (I + S)^-1 is found on its own, with X = I, and
+    applied to B in one last product.
     """
-    k = B.shape[0]
+    k, m = B.shape
+    if k > m:
+        return _reduce(B @ _unipotent_solve(S, np.eye(m, dtype=B.dtype), p), p)
     Z = _reduce(np.concatenate([B, -S]), p)
     while Z[k:].any():
         Y = Z @ Z[k:]
@@ -272,30 +289,64 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return A[:top], pivcols
 
 
-def rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Exact rank of an integer matrix over GF(p)."""
+def _exact_int(x) -> int:
+    """x as a Python int, or DomainError unless x is an integer."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
+        raise DomainError(f"matrix entries must be integers, got {x!r}")
+    return i
+
+
+def _residues(A: np.ndarray, p: int) -> np.ndarray:
+    """The entries of A, integers of any size, reduced exactly into [0, p) as int64.
+
+    Entries that int64 holds exactly (machine integers, integral floats)
+    are reduced by an int64 %, skipped when they are residues already;
+    any others by Python's int %.  A non-integral entry is refused.
+    """
+    kind = A.dtype.kind
+    if kind in "bi" or (kind in "uf" and A.min() >= -2 ** 63 and A.max() < 2 ** 63
+                        and (kind == "u" or (A == np.floor(A)).all())):
+        A = A.astype(np.int64, copy=False)
+        return A % p if A.min() < 0 or A.max() >= p else A
+    return np.array([_exact_int(x) % p for x in A.ravel().tolist()],
+                    dtype=np.int64).reshape(A.shape)
+
+
+def rank_mod_p(M, p: int) -> int:
+    """Exact rank over GF(p) of a 2-dimensional matrix of integers of any
+    size; a non-integral entry raises DomainError."""
     check_prime(p)
-    A = np.asarray(M, dtype=np.int64)
-    if A.size and (A.min() < 0 or A.max() >= p):  # skip the % for residues
-        A = A % p
-    return _echelon(A.astype(_float_dtype(max(A.shape), p)), p)[0].shape[0] if A.size else 0
+    A = np.asarray(M)
+    if A.ndim != 2:
+        raise DomainError(f"matrix must be 2-dimensional, got shape {A.shape}")
+    if not A.size:
+        return 0
+    dtype = _float_dtype(max(A.shape), p)
+    return _echelon(_residues(A, p).astype(dtype), p)[0].shape[0]
 
 
 def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray, p: int,
              triangular: bool) -> np.ndarray:
     """R @ N mod p for an echelon R whose row i is zero left of pivcols[i].
 
-    Rows go in chunks, each reading R only from its first pivot on, and
-    the output goes in column blocks.  When N is upper triangular (the
-    matrices built here always are) a block needs N's rows only up to its
-    end, and the blocks left of the chunk's first pivot stay zero.  Each
+    R's rows are grouped by the _MUL_COLS-wide column block that holds
+    their pivot, and each group reads R only from its first pivot on;
+    blocks that hold no pivot have no group.  The output goes in column
+    blocks of the same width.  When N is upper triangular (the matrices
+    built here always are) an output block needs N's rows only up to its
+    end, and the blocks left of a group's pivot block stay zero.  Each
     output block is reduced right after its product, while it is in cache.
     """
     r, n = R.shape
     out = np.zeros((r, n), dtype=R.dtype)
-    chunks = max(1, min(_MUL_CHUNKS, 2 * r // _MUL_COLS))
-    for i in range(chunks):
-        a, b = r * i // chunks, r * (i + 1) // chunks
+    ends = np.searchsorted(pivcols, np.arange(_MUL_COLS, n + _MUL_COLS, _MUL_COLS)).tolist()
+    for a, b in zip([0] + ends, ends):
+        if a == b:
+            continue
         c = pivcols[a]
         for j in range(c - c % _MUL_COLS if triangular else 0, n, _MUL_COLS):
             k = min(j + _MUL_COLS, n)

@@ -252,6 +252,27 @@ class TestRank:
                 A = (rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))) % p
                 assert rank_mod_p(A, p) == naive_rank(A, p)
 
+    def test_integers_of_any_size_reduced_exactly(self):
+        # entries past int64, in object and uint64 arrays, and integral floats
+        assert rank_mod_p([[2 ** 70, 1], [1, 1]], 3) == 1  # 2^70 = 1 mod 3
+        assert rank_mod_p([[2 ** 70 + 1, 1], [1, 1]], 3) == 2
+        assert rank_mod_p([[-2 ** 70, 1], [1, 1]], 5) == 1  # -2^70 = 1 mod 5
+        assert rank_mod_p([[-2 ** 70, 1], [1, 1]], 7) == 2
+        for top, rank in ((2 ** 64 - 1, 2), (2 ** 64 - 3, 1)):  # 2^64 - 3 = 1 mod 3
+            assert rank_mod_p(np.array([[top, 1], [1, 1]], dtype=np.uint64), 3) == rank
+        assert rank_mod_p([[2.0, 1.0], [1.0, 2.0]], 3) == 1
+        assert rank_mod_p([[1e30, 1], [1, 1]], 3) == 1  # int(1e30) = 1 mod 3
+        assert rank_mod_p(np.array([[3, 1], [1, 1]], dtype=np.int8), 1009) == 2
+
+    def test_non_integral_entries_refused(self):
+        for M in ([[2.5, 0], [0, 1.0]], [[float("nan"), 1], [1, 1]],
+                  [[float("inf"), 1], [1, 1]], [[2 ** 70, 0.5]], [["1", 0], [0, 1]],
+                  np.array([[1 + 0j, 0], [0, 1]])):
+            with pytest.raises(DomainError):
+                rank_mod_p(M, 3)
+        with pytest.raises(DomainError):
+            rank_mod_p([1, 2, 3], 3)
+
 
 class TestJordanOfUnipotent:
     def test_identity(self):
@@ -645,28 +666,91 @@ class TestEchelonRowSpace:
                 A = (R @ N) % p
 
 
+class TestRowMul:
+    # the level product R @ N mod p, with R's rows grouped by the column
+    # block of their pivot, against plain int64 arithmetic
+    @staticmethod
+    def echelon(rng, pivcols, n, p):
+        R = rng.integers(0, p, (len(pivcols), n))
+        for i, c in enumerate(pivcols):
+            R[i, :c] = 0
+            R[i, c] = rng.integers(1, p)
+        return R
+
+    @staticmethod
+    def pivot_sets(n, W, rng):
+        yield [3, 17, W - 1, 3 * W + 2, 3 * W + 100, n - 1]  # blocks 1, 2 hold none
+        yield [e for c in range(0, n, W) for e in (c, min(c + W, n) - 1)]  # block edges
+        yield from ([0], [W], [2 * W + 7], [n - 1])  # one row
+        yield sorted(rng.choice(n, n // 16, replace=False).tolist())
+
+    @pytest.mark.parametrize("p", [2, 3, 1009])
+    def test_against_int64_product(self, p):
+        import unipjordan.oracle as oracle_mod
+        W = oracle_mod._MUL_COLS
+        rng = np.random.default_rng(16)
+        for n in (4 * W, 4 * W + 37):
+            dtype = oracle_mod._float_dtype(n, p)
+            assert dtype == (np.float64 if p == 1009 else np.float32)
+            dense = rng.integers(0, p, (n, n))
+            for pivcols in self.pivot_sets(n, W, rng):
+                R = self.echelon(rng, pivcols, n, p)
+                for triangular in (True, False):
+                    N = np.triu(dense) if triangular else dense
+                    got = oracle_mod._row_mul(R.astype(dtype), pivcols, N.astype(dtype),
+                                              p, triangular)
+                    assert got.dtype == dtype
+                    assert np.array_equal(got.astype(np.int64), (R @ N) % p), \
+                        (n, pivcols[:4], triangular)
+
+
 class TestUnipotentSolve:
+    @staticmethod
+    def conjugated_nilpotent(rng, n, p, chain):
+        """A nilpotent n x n M over GF(p), conjugated out of triangular form;
+        with chain, a single chain of nilpotency index n."""
+        T = np.triu(rng.integers(0, p, (n, n)), 1)
+        if chain:
+            T = np.eye(n, k=1, dtype=np.int64)
+        Lw = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+        Up = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+        Q = (Lw @ Up) % p
+        Qinv = (unit_upper_inverse(Up, p) @ unit_upper_inverse(Lw.T, p).T) % p
+        assert np.array_equal((Q @ Qinv) % p, np.eye(n, dtype=np.int64))
+        M = (Q @ T @ Qinv) % p
+        assert np.tril(M, -1).any() and np.triu(M, 1).any()
+        return M
+
+    @staticmethod
+    def check(M, rhs, p):
+        # X = rhs (I - M)^-1 is a residue matrix with X (I - M) = rhs
+        import unipjordan.oracle as oracle_mod
+        n = M.shape[0]
+        X = oracle_mod._unipotent_solve((-M % p).astype(np.float64),
+                                        rhs.astype(np.float64), p)
+        X = X.astype(np.int64)
+        assert X.shape == rhs.shape
+        assert ((X >= 0) & (X < p)).all()
+        assert np.array_equal((X @ (np.eye(n, dtype=np.int64) - M)) % p, rhs)
+
     def test_nilpotent_not_triangular(self):
         # B (I + S)^-1 for S = -M, M nilpotent but conjugated out of
         # triangular form; one M is a single long chain (index n)
-        import unipjordan.oracle as oracle_mod
         rng = np.random.default_rng(14)
         for p in (2, 3, 7, 101):
             for n, chain in ((5, False), (40, False), (90, True)):
-                T = np.triu(rng.integers(0, p, (n, n)), 1)
-                if chain:
-                    T = np.eye(n, k=1, dtype=np.int64)
-                Lw = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
-                Up = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
-                Q = (Lw @ Up) % p
-                Qinv = (unit_upper_inverse(Up, p) @ unit_upper_inverse(Lw.T, p).T) % p
-                assert np.array_equal((Q @ Qinv) % p, np.eye(n, dtype=np.int64))
-                M = (Q @ T @ Qinv) % p
-                assert np.tril(M, -1).any() and np.triu(M, 1).any()
+                M = self.conjugated_nilpotent(rng, n, p, chain)
                 B = rng.integers(0, p, (3, n))
                 for rhs in (np.eye(n, dtype=np.int64), B):
-                    X = oracle_mod._unipotent_solve((-M % p).astype(np.float64),
-                                                    rhs.astype(np.float64), p)
-                    X = X.astype(np.int64)
-                    assert ((X >= 0) & (X < p)).all()
-                    assert np.array_equal((X @ (np.eye(n, dtype=np.int64) - M)) % p, rhs)
+                    self.check(M, rhs, p)
+
+    def test_right_sides_on_both_sides_of_square(self):
+        # B with at most n rows rides along in the doubling; a taller B
+        # is multiplied by (I + S)^-1 found on its own.  n - 1, n, n + 1
+        # and 4n rows run both association orders, at their boundary
+        rng = np.random.default_rng(15)
+        for p in (2, 3, 7, 101):
+            for n, chain in ((6, False), (40, False), (70, True)):
+                M = self.conjugated_nilpotent(rng, n, p, chain)
+                for rows in (n - 1, n, n + 1, 4 * n):
+                    self.check(M, rng.integers(0, p, (rows, n)), p)
