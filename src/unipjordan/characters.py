@@ -4,22 +4,26 @@ A character is a finite map from integer weights to positive
 multiplicities, symmetric under negation (SL2 characters are self-dual):
 a symmetric Laurent polynomial sum m_w x^w with positive coefficients.
 
-Storage.  A character whose weights lie densely on a grid lo, lo + step,
-..., -lo is stored packed: the offset, the step, and one unsigned 64-bit
-word per grid slot in an ``array('Q')``, where a zero slot is an absent
-weight.  A grid with more than ``_DENSITY`` slots per weight, or a
-multiplicity of 2^64 or more, is stored as its sorted pairs instead.
-``items``, the sorted (weight, multiplicity) pairs, is the canonical view
-either way; a packed character builds it on first read.
+Storage follows construction.  Grid arithmetic (weyl_character, a sum or
+tensor product on the grid, a twist of a packed character) stores its
+result packed: the offset lo, the step, and one unsigned 64-bit word per
+slot of the grid lo, lo + step, ..., -lo in an ``array('Q')``, where a
+zero slot is an absent weight.  Every other character, from the public
+constructor or the dict convolution, keeps its sorted pairs, and grid
+arithmetic packs such an operand on demand.  ``items``, the sorted
+(weight, multiplicity) pairs, is the canonical view either way; a packed
+character builds it on first read.
 
 Arithmetic on packed characters is Kronecker substitution (Harvey,
-J. Symbolic Comput. 44(10), 2009): a grid is read as the base-2^(64k)
+J. Symbolic Comput. 44(10), 2009): a grid is read as the base-2^64
 digits of one Python int, so a sum is one big-int addition and a tensor
-product one big-int multiplication (CPython's Karatsuba).  The slot width
-of k words comes from a bound on the result's coefficients, so no carry
-crosses a slot.  A Frobenius twist scales the offset and the step.  Where
-a result's grid would be sparse, as under deep twists, the dict
-convolution runs instead.  All arithmetic is exact.
+product one big-int multiplication (CPython's Karatsuba).  It runs only
+when a bound on the result's coefficients is below 2^64, so no carry
+crosses a slot, and when the result's grid has at most ``_DENSITY``
+slots per weight of the operands (a sum) or per term of the convolution
+(a product).  Otherwise, as for huge multiplicities or under deep
+twists, the dict convolution runs.  A Frobenius twist scales the offset
+and the step.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -60,8 +64,6 @@ class Character:
         self._lo = items[0][0] if items else 0
         self._step = gcd(*[w - self._lo for w, _ in items])
         self._nnz, self._items, self._slots = len(items), items, None
-        if _slot_count(self._lo, self._step) <= _DENSITY * len(items):
-            self._slots = _pack(self)
 
     @classmethod
     def from_dict(cls, mult: dict[int, int]) -> "Character":
@@ -113,8 +115,9 @@ def _slot_count(lo: int, step: int) -> int:
 
 
 def _pack(ch: Character) -> array | None:
-    """The slots of a character on its lattice, filled from its pairs; None
-    when it is empty or a multiplicity needs two words."""
+    """The slots of a character on its lattice: its own when packed, else
+    filled from its pairs; None when it is empty or a multiplicity needs
+    more than one word."""
     if ch._slots is not None:
         return ch._slots
     items = ch._items
@@ -128,9 +131,9 @@ def _pack(ch: Character) -> array | None:
 
 
 def _from_grid(lo: int, step: int, slots: array, nnz: int | None = None) -> Character:
-    """The character on a grid, after the check that it is one: nonzero end
-    slots, lo = -hi and a palindrome (order, distinct weights and positivity
-    hold by the representation).  Stored packed when dense, else as pairs."""
+    """The packed character on a grid, after the check that it is one:
+    nonzero end slots, lo = -hi and a palindrome (order, distinct weights
+    and positivity hold by the representation)."""
     n = len(slots)
     if not (slots[0] and slots[-1] and 2 * lo + (n - 1) * step == 0
             and slots == slots[::-1]):
@@ -138,71 +141,54 @@ def _from_grid(lo: int, step: int, slots: array, nnz: int | None = None) -> Char
     ch = Character.__new__(Character)
     ch._lo, ch._step, ch._slots, ch._items = lo, step if n > 1 else 0, slots, None
     ch._nnz = n - slots.count(0) if nnz is None else nnz
-    if n > _DENSITY * ch._nnz:
-        ch._items = ch.items
-        ch._slots = None
     return ch
 
 
-def _words(bound: int) -> int:
-    """64-bit words per slot for coefficients up to ``bound``."""
-    return -(-bound.bit_length() // 64)
-
-
-def _to_int(slots: array, stride: int, k: int) -> int:
-    """The int whose base-2^(64k) digits are ``slots``, ``stride`` digits apart."""
+def _to_int(slots: array, stride: int) -> int:
+    """The int whose base-2^64 digits are ``slots``, ``stride`` digits apart."""
     if len(slots) == 1:
         return slots[0]
-    if stride == 1 and k == 1 and not _BIG_ENDIAN:
+    if stride == 1 and not _BIG_ENDIAN:
         wide = slots
     else:
-        wide = array("Q", bytes(8 * k * ((len(slots) - 1) * stride + 1)))
-        wide[::stride * k] = slots
+        wide = array("Q", bytes(8 * ((len(slots) - 1) * stride + 1)))
+        wide[::stride] = slots
         if _BIG_ENDIAN:
             wide.byteswap()
     return int.from_bytes(wide, "little")
 
 
-def _from_int(z: int, n: int, k: int) -> array | None:
-    """The n base-2^(64k) digits of z, one word each (a strided view of the
-    low words), or None when a digit needs more than one word."""
-    words = array("Q", z.to_bytes(8 * k * n, "little"))
+def _from_int(z: int, n: int) -> array:
+    """The n base-2^64 digits of z, one word each."""
+    words = array("Q", z.to_bytes(8 * n, "little"))
     if _BIG_ENDIAN:
         words.byteswap()
-    if k == 1:
-        return words
-    if any(any(words[j::k]) for j in range(1, k)):
-        return None
-    return words[::k]
+    return words
 
 
 def _add_grid(a: Character, b: Character) -> Character | None:
     """a + b spread onto their common grid and added as one int; None when
-    an operand or a coefficient needs two words."""
+    an operand does not pack or the bound max_a + max_b reaches 2^64."""
     xa, xb = _pack(a), _pack(b)
-    if xa is None or xb is None:
+    if xa is None or xb is None or max(xa) + max(xb) >= _WORD:
         return None
     g = gcd(a._step, b._step, a._lo - b._lo) or 1
     lo = min(a._lo, b._lo)
-    k = _words(max(xa) + max(xb))
-    za = _to_int(xa, a._step // g, k) << 64 * k * ((a._lo - lo) // g)
-    zb = _to_int(xb, b._step // g, k) << 64 * k * ((b._lo - lo) // g)
-    slots = _from_int(za + zb, _slot_count(lo, g), k)
-    return None if slots is None else _from_grid(lo, g, slots)
+    za = _to_int(xa, a._step // g) << 64 * ((a._lo - lo) // g)
+    zb = _to_int(xb, b._step // g) << 64 * ((b._lo - lo) // g)
+    return _from_grid(lo, g, _from_int(za + zb, _slot_count(lo, g)))
 
 
 def _tensor_grid(a: Character, b: Character) -> Character | None:
-    """a (x) b by Kronecker substitution: one int product, with slots wide
-    enough for max_a * max_b * min(len_a, len_b); None when an operand or a
-    coefficient needs two words."""
+    """a (x) b by Kronecker substitution: one int product; None when an
+    operand does not pack or the bound max_a * max_b * min(len_a, len_b)
+    reaches 2^64."""
     xa, xb = _pack(a), _pack(b)
-    if xa is None or xb is None:
+    if xa is None or xb is None or max(xa) * max(xb) * min(len(xa), len(xb)) >= _WORD:
         return None
     g = gcd(a._step, b._step) or 1
-    k = _words(max(xa) * max(xb) * min(len(xa), len(xb)))
-    z = _to_int(xa, a._step // g, k) * _to_int(xb, b._step // g, k)
-    slots = _from_int(z, _slot_count(a._lo + b._lo, g), k)
-    return None if slots is None else _from_grid(a._lo + b._lo, g, slots)
+    z = _to_int(xa, a._step // g) * _to_int(xb, b._step // g)
+    return _from_grid(a._lo + b._lo, g, _from_int(z, _slot_count(a._lo + b._lo, g)))
 
 
 def _add_dict(a: Character, b: Character) -> Character:
@@ -230,8 +216,9 @@ def weyl_character(m: int) -> Character:
 
 
 def char_add(a: Character, b: Character) -> Character:
-    """Sum of the weight maps: one int addition when the common grid has at
-    most _DENSITY slots per weight of the operands, otherwise a dict merge."""
+    """Sum of the weight maps: one int addition (_add_grid) when the common
+    grid has at most _DENSITY slots per weight of the operands and the sums
+    fit one word, otherwise a dict merge."""
     g = gcd(a._step, b._step, a._lo - b._lo)
     if _slot_count(min(a._lo, b._lo), g) <= _DENSITY * (a._nnz + b._nnz):
         ch = _add_grid(a, b)
@@ -241,9 +228,9 @@ def char_add(a: Character, b: Character) -> Character:
 
 
 def char_tensor(a: Character, b: Character) -> Character:
-    """Convolution of the weight maps: one int product when the result grid
-    has at most _DENSITY slots per term of the convolution, otherwise the
-    dict convolution."""
+    """Convolution of the weight maps: one int product (_tensor_grid) when
+    the result grid has at most _DENSITY slots per term of the convolution
+    and the coefficients fit one word, otherwise the dict convolution."""
     g = gcd(a._step, b._step)
     if _slot_count(a._lo + b._lo, g) <= _DENSITY * a._nnz * b._nnz:
         ch = _tensor_grid(a, b)

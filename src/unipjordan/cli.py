@@ -210,18 +210,25 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _dim_cap(text: str) -> int:
+    """argparse type for --dim-cap: an integer of at least 1."""
+    cap = _integer(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"dimension cap must be at least 1, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog=PROG,
         description="Exact Jordan-type calculus for order-p unipotent elements")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, *, prime=True, jsonflag=True):
+    def add(name, fn, help_text, *, jsonflag=True):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(fn=fn)
-        if prime:
-            sp.add_argument("-p", type=_integer, required=True, metavar="PRIME",
-                            help="prime characteristic")
+        sp.add_argument("-p", type=_integer, required=True, metavar="PRIME",
+                        help="prime characteristic")
         if jsonflag:
             sp.add_argument("--json", action="store_true", help="JSON output")
         return sp
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("expr")
     sp.add_argument("--oracle", action="store_true",
                     help="re-verify through the matrix oracle (T-free only)")
-    sp.add_argument("--dim-cap", type=_integer, default=DEFAULT_DIM_CAP)
+    sp.add_argument("--dim-cap", type=_dim_cap, default=DEFAULT_DIM_CAP)
 
     sp = add("tensor", _cmd_tensor, "Jordan type of J_m tensor J_n")
     sp.add_argument("m", type=_integer)
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
              "Oracle certificate (rank sequence) for a T-free expression",
              jsonflag=False)
     sp.add_argument("expr")
-    sp.add_argument("--dim-cap", type=_integer, default=DEFAULT_DIM_CAP)
+    sp.add_argument("--dim-cap", type=_dim_cap, default=DEFAULT_DIM_CAP)
 
     return top
 

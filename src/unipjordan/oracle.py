@@ -22,11 +22,11 @@ reduced into [0, p) where it is made.
 The certificate path (oracle_certificate, oracle_eval) eliminates each
 direct summand on its own.  Ranks of powers add over a block-diagonal
 matrix, and kron distributes over direct sums up to a permutation
-similarity, so an expression above _BLOCK rows is split into its
-sum-free terms, which are packed in order into diagonal blocks of at
-most _BLOCK rows and ranked block by block; the rank sequence reported
-is the sum of theirs, the same as that of the whole matrix.
-expr_matrix builds the whole matrix.
+similarity, so every expression is split into its sum-free terms, which
+are packed in order into diagonal blocks of at most _BLOCK rows (an
+expression of at most _BLOCK rows is one block) and ranked block by
+block; the rank sequence reported is the sum of theirs, the same as that
+of the whole matrix.  expr_matrix builds the whole matrix.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class FpMatrix:
     def __post_init__(self):
         check_prime(self.p)
         a = self.array
+        if not isinstance(a, np.ndarray):
+            raise DomainError(f"matrix must be a numpy array, got {type(a).__name__}")
         if a.ndim != 2:
             raise DomainError(f"matrix must be 2-dimensional, got shape {a.shape}")
         if a.dtype != np.int64:
@@ -318,9 +320,12 @@ def _residues(A: np.ndarray, p: int) -> np.ndarray:
 
 def rank_mod_p(M, p: int) -> int:
     """Exact rank over GF(p) of a 2-dimensional matrix of integers of any
-    size; a non-integral entry raises DomainError."""
+    size; a non-integral entry or a ragged row raises DomainError."""
     check_prime(p)
-    A = np.asarray(M)
+    try:
+        A = np.asarray(M)
+    except ValueError:  # ragged rows
+        raise DomainError("matrix rows must all have the same length") from None
     if A.ndim != 2:
         raise DomainError(f"matrix must be 2-dimensional, got shape {A.shape}")
     if not A.size:
@@ -456,12 +461,6 @@ def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> int:
     return n
 
 
-def _build(e: ModuleExpr, p: int, dim_cap: int, dtype=None) -> np.ndarray:
-    """Matrix of u on a T-free expression in dtype, by default the kernel's."""
-    n = _checked_dim(e, p, dim_cap)
-    return _fill(e, p, np.zeros((n, n), dtype=dtype or _float_dtype(n, p)))
-
-
 def _terms(e: ModuleExpr) -> list[ModuleExpr]:
     """Sum-free terms of e, in order, whose direct sum is similar to e:
     duals and twists act as the identity, and kron distributes over direct
@@ -478,16 +477,16 @@ def _terms(e: ModuleExpr) -> list[ModuleExpr]:
 def _block_ranks(e: ModuleExpr, p: int, dim_cap: int) -> tuple[list[int], np.dtype]:
     """rank_sequence of u on e and the kernel's dtype for e's dimension.
 
-    Ranks of powers add over a block-diagonal matrix.  So above _BLOCK rows
-    the terms of e are packed, in order, into diagonal blocks of at most
-    _BLOCK rows (a larger term is a block of its own), each block is ranked
-    on its own, and the sequences are summed; e of at most _BLOCK rows is
-    one block.  Every block uses the dtype of the whole dimension.
+    Ranks of powers add over a block-diagonal matrix.  So the terms of e
+    are packed, in order, into diagonal blocks of at most _BLOCK rows (a
+    larger term is a block of its own, and e of at most _BLOCK rows is one
+    block), each block is ranked on its own, and the sequences are summed.
+    Every block uses the dtype of the whole dimension.
     """
     n = _checked_dim(e, p, dim_cap)
     dtype = np.dtype(_float_dtype(n, p))
     blocks, size = [], _BLOCK
-    for t in _terms(e) if n > _BLOCK else [e]:
+    for t in _terms(e):
         d = expr_dim(t, p)
         if size + d > _BLOCK:
             blocks.append([])
@@ -512,7 +511,8 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
     twists and duals act as the identity on the matrix; both facts are
     property-tested rather than assumed silently.
     """
-    return _trusted(_build(e, p, dim_cap, np.int64), p)
+    n = _checked_dim(e, p, dim_cap)
+    return _trusted(_fill(e, p, np.zeros((n, n), dtype=np.int64)), p)
 
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:

@@ -268,6 +268,21 @@ def test_oracle_verify_dim_cap(capsys):
     assert code == 1 and "cap" in err
 
 
+@pytest.mark.parametrize("command", [["jordan", "--oracle"], ["oracle-verify"]])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_dim_cap_below_one_is_a_usage_error(capsys, command, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "-p", "5", "--dim-cap", cap, "V(0)"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "dimension cap must be at least 1" in err
+
+
+def test_dim_cap_of_one_accepted(capsys):
+    code, out, _ = run(capsys, "jordan", "-p", "5", "--oracle", "--dim-cap", "1", "V(0)")
+    assert (code, out) == (0, "1\n")
+
+
 def test_identify_dimension_warning_is_one_line(capsys):
     code, out, err = run(capsys, "identify", "-p", "5", "--group", "E6",
                          "--expr", "L(0)")

@@ -54,6 +54,14 @@ def reference_matrix(e, p):
     return out
 
 
+def float_matrix(e, p):
+    """Matrix of u on a T-free expression, filled whole by _fill in the
+    kernel's float type for its dimension."""
+    import unipjordan.oracle as oracle_mod
+    n = expr_dim(e, p)
+    return oracle_mod._fill(e, p, np.zeros((n, n), oracle_mod._float_dtype(n, p)))
+
+
 def small_trees(seed, count, max_dim):
     """(tree, p) pairs of T-free trees of dimension <= max_dim, with sums,
     tensors, twists and duals, at p = 2, 3, 5, 7 and at 1009, where the
@@ -150,6 +158,11 @@ class TestFpMatrix:
             FpMatrix(np.array([[-1]], dtype=np.int64), 5)
         with pytest.raises(DomainError):
             FpMatrix(np.array([1, 2], dtype=np.int64), 5)
+
+    def test_non_array_refused(self):
+        for a in ([[1, 0], [0, 1]], ((1,),), 7):
+            with pytest.raises(DomainError, match="numpy array"):
+                FpMatrix(a, 5)
 
     def test_builder_outputs_pass_the_public_check(self):
         # builders skip the entry scan; their results must still pass it
@@ -272,6 +285,11 @@ class TestRank:
                 rank_mod_p(M, 3)
         with pytest.raises(DomainError):
             rank_mod_p([1, 2, 3], 3)
+
+    def test_ragged_rows_refused(self):
+        for M in ([[1, 2], [3]], [[1], [2, 3], []]):
+            with pytest.raises(DomainError, match="same length"):
+                rank_mod_p(M, 5)
 
 
 class TestJordanOfUnipotent:
@@ -415,12 +433,12 @@ class TestOracleEval:
                 f(Tensor(long_sum, long_sum), 5)
 
     def test_block_ranks_match_whole_matrix(self, monkeypatch):
-        # above _BLOCK rows the certificate path ranks the sum-free terms,
-        # packed into diagonal blocks, one block at a time; the summed
-        # sequence must be the rank sequence of the whole matrix
+        # the certificate path ranks the sum-free terms, packed into
+        # diagonal blocks, one block at a time; the summed sequence must
+        # be the rank sequence of the whole matrix
         import unipjordan.oracle as oracle_mod
         B = oracle_mod._BLOCK
-        cases = [(e, p, oracle_mod._ranks(oracle_mod._build(e, p, 4096), p))
+        cases = [(e, p, oracle_mod._ranks(float_matrix(e, p), p))
                  for e, p in block_trees(31, 240, B) + float64_trees(32, 8)]
         fill, ranks, terms = oracle_mod._fill, oracle_mod._ranks, oracle_mod._terms
         filled, sizes, dtypes, split = [], [], [], []
@@ -452,15 +470,16 @@ class TestOracleEval:
             # every block runs in the dtype of the whole dimension
             assert dtypes and all(d == cert["dtype"] for d in dtypes)
             assert sum(sizes) == n
-            if split:
-                # only sum-free terms are built, never the whole matrix
-                assert n > B and not any("Sum" in node_kinds(f) for f in filled)
-                seen.add("split" if len(sizes) > 1 else "one term")
+            # every expression is split, and only sum-free terms are built
+            assert split[0] is e and not any("Sum" in node_kinds(f) for f in filled)
+            if n <= B:
+                assert sizes == [n]
+                seen.add("split, one block")
             else:
-                assert n <= B and sizes == [n]
-                seen.add("single")
+                seen.add("split" if len(sizes) > 1 else "one term")
             seen |= sum_places(e) | {f"dim {n}", cert["dtype"]}
-        assert seen >= {"split", "one term", "single", "dim 127", "dim 128", "dim 129",
+        assert seen >= {"split", "one term", "split, one block", "dim 127", "dim 128",
+                        "dim 129",
                         "float32", "float64",
                         "Sum in left factor", "Sum in right factor",
                         "Dual over Sum", "Twist over Sum"}
@@ -473,7 +492,7 @@ class TestOracleEval:
         for e, p in small_trees(21, 250, 300):
             want = reference_matrix(e, p)
             n = want.shape[0]
-            got = oracle_mod._build(e, p, 300)
+            got = float_matrix(e, p)
             assert got.dtype == oracle_mod._float_dtype(n, p)
             assert np.array_equal(got, want), (render_expr(e), p)
             assert np.array_equal(expr_matrix(e, p).array, want)
