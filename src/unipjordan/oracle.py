@@ -19,18 +19,24 @@ Matrices are built once, in place, in the float type that _float_dtype
 proves exact (int64 for the public builders), and each product is
 reduced into [0, p) where it is made.
 
-The certificate path (oracle_certificate, oracle_eval) eliminates each
-direct summand on its own.  Ranks of powers add over a block-diagonal
-matrix, and kron distributes over direct sums up to a permutation
-similarity, so every expression is split into its sum-free terms, which
-are packed in order into diagonal blocks of at most _BLOCK rows (an
-expression of at most _BLOCK rows is one block) and ranked block by
-block; the rank sequence reported is the sum of theirs, the same as that
-of the whole matrix.  expr_matrix builds the whole matrix.
+The certificate path (oracle_certificate, oracle_eval) builds no matrix
+of more rows than the largest of _BLOCK, p^2 and its V atoms.  Jordan
+types are similarity invariants, kron(PAP^-1, QBQ^-1) is similar to
+kron(A, B), and kron distributes over direct sums up to a permutation
+similarity.  So a sum's type is the union of its parts' types, and a
+tensor's is the sum of x y type(kron(J_a, J_b)) over its factors' blocks
+a and b of multiplicities x and y.  Above _BLOCK rows, an expression is
+planned as sums and tensors of leaves: subexpressions of at most _BLOCK
+rows, and V atoms (an L atom is the tensor of its digit atoms; duals and
+twists fix the matrix).  Rounds of elimination type the leaves, then the
+pairs kron(J_a, J_b) the tensors ask for, each distinct matrix once,
+packed into diagonal blocks of at most _BLOCK rows: one elimination of a
+block gives each member's ranks, its pivot columns in the member's range.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -104,7 +110,7 @@ def pascal_matrix(m: int, p: int) -> FpMatrix:
     only the p x p digit block is summed row by row.
     """
     e = Atom("V", m)  # refuses m < 0
-    return _trusted(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64)), p)
+    return _trusted(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64), {}), p)
 
 
 def _kron_lead(x: np.ndarray, y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -267,7 +273,7 @@ def _unipotent_solve(S: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return Z[:k]
 
 
-def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Echelon row basis of A over GF(p) with its pivot columns.
 
     A is a C-ordered float array of residues, sized within the _float_dtype
@@ -281,14 +287,14 @@ def _echelon(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     m, n = A.shape
     pivcols, top = [], 0
     if not A.any():
-        return A[:0], pivcols
+        return A[:0], np.zeros(0, np.intp)
     for col in range(0, n, _BLOCK):
         if top == m:
             break
         pc = _panel(A[top:, col:], min(_BLOCK, n - col), p)
-        pivcols.extend((pc + col).tolist())
+        pivcols.append(pc + col)
         top += pc.size
-    return A[:top], pivcols
+    return A[:top], np.concatenate(pivcols)
 
 
 def _exact_int(x) -> int:
@@ -334,7 +340,7 @@ def rank_mod_p(M, p: int) -> int:
     return _echelon(_residues(A, p).astype(dtype), p)[0].shape[0]
 
 
-def _row_mul(R: np.ndarray, pivcols: list[int], N: np.ndarray, p: int,
+def _row_mul(R: np.ndarray, pivcols: np.ndarray, N: np.ndarray, p: int,
              triangular: bool) -> np.ndarray:
     """R @ N mod p for an echelon R whose row i is zero left of pivcols[i].
 
@@ -370,22 +376,33 @@ def rank_sequence(M: FpMatrix) -> list[int]:
     """
     if M.rows != M.cols:
         raise DomainError(f"matrix must be square, got {M.array.shape}")
-    return _ranks(M.array.astype(_float_dtype(M.rows, M.p)), M.p)
+    return _ranks(M.array.astype(_float_dtype(M.rows, M.p)), M.p, [M.rows])[0]
 
 
-def _ranks(N: np.ndarray, p: int) -> list[int]:
-    """rank_sequence of N, a float array in the _float_dtype type; N becomes N - I."""
+def _ranks(N: np.ndarray, p: int, cuts: list[int]) -> list[list[int]]:
+    """rank_sequence of each diagonal block of N, the blocks ending at the
+    increasing cuts (the last is N's size); N, a float array in the
+    _float_dtype type, becomes N - I.
+
+    The row space of a block-diagonal matrix is the direct sum of its
+    blocks' row spaces, on disjoint column ranges, so a block's rank at
+    each level is the number of pivot columns in its range.
+    """
     np.fill_diagonal(N, (np.diagonal(N) - 1) % p)
     triangular = bool(np.all(np.tril(N, -1) == 0))
-    ranks = [N.shape[0]]
+    cuts = np.asarray(cuts)
+    levels = [cuts]  # at each level, the pivot columns left of each cut
     R, pivcols = _echelon(N.copy(), p)
     while R.shape[0]:
-        ranks.append(int(R.shape[0]))
-        if len(ranks) - 1 >= p:
+        levels.append(np.searchsorted(pivcols, cuts))
+        if len(levels) - 1 >= p:
             raise NotUnipotentError(
                 f"(M - I)^{p} != 0: element is not unipotent of order dividing {p}")
         R, pivcols = _echelon(_row_mul(R, pivcols, N, p, triangular), p)
-    return ranks + [0] if ranks[-1] else ranks
+    levels.append(0 * cuts)
+    L = np.array(levels).T
+    L[1:] -= L[:-1].copy()
+    return [r[:r.argmin() + 1].tolist() for r in L]
 
 
 def jordan_type_of_unipotent(M: FpMatrix) -> JordanType:
@@ -397,39 +414,57 @@ def jordan_type_of_unipotent(M: FpMatrix) -> JordanType:
     return _partition_from_ranks(rank_sequence(M), M.p)
 
 
-def _partition_from_ranks(ranks: list[int], p: int) -> JordanType:
+def _sizes(ranks: list[int]) -> dict[int, int]:
+    """Jordan type {size: multiplicity} of a rank sequence."""
     r = ranks + [0]
-    return JordanType.from_blocks(
-        ((k, r[k - 1] - 2 * r[k] + r[k + 1]) for k in range(1, len(ranks))), p)
+    return {k: m for k in range(1, len(ranks)) if (m := r[k - 1] - 2 * r[k] + r[k + 1])}
+
+
+def _partition_from_ranks(ranks: list[int], p: int) -> JordanType:
+    return JordanType.from_blocks(_sizes(ranks).items(), p)
 
 
 # ---------------------------------------------------------------------------
 # expression-level oracle
 
 
-def expr_dim(e: ModuleExpr, p: int) -> int:
-    """Dimension of a T-free expression (L and V atoms only)."""
+def expr_dim(e: ModuleExpr, p: int, dims: dict | None = None) -> int:
+    """Dimension of a T-free expression (L and V atoms only); dims, when
+    given, records that of every node of e by id."""
     if isinstance(e, Atom):
         if e.kind not in ("L", "V"):
             raise DomainError("tilting atoms have no oracle matrix model")
-        return e.weight + 1 if e.kind == "V" else \
+        n = e.weight + 1 if e.kind == "V" else \
             math.prod(d + 1 for d in base_p_digits(e.weight, p).digits)
-    if isinstance(e, (Dual, Twist)):
-        return expr_dim(e.inner, p)
-    if isinstance(e, (Sum, Tensor)):
+    elif isinstance(e, (Dual, Twist)):
+        n = expr_dim(e.inner, p, dims)
+    elif isinstance(e, (Sum, Tensor)):
         op = operator.add if isinstance(e, Sum) else operator.mul
-        return op(expr_dim(e.left, p), expr_dim(e.right, p))
-    raise TypeError(f"not a module expression: {e!r}")
+        n = op(expr_dim(e.left, p, dims), expr_dim(e.right, p, dims))
+    else:
+        raise TypeError(f"not a module expression: {e!r}")
+    if dims is not None:
+        dims[id(e)] = n
+    return n
 
 
-def _fill(e: ModuleExpr, p: int, out: np.ndarray) -> np.ndarray:
+def _steinberg(l: int, p: int, dims: dict) -> ModuleExpr:
+    """L(l) as the tensor product of V(d) over its nonzero base-p digits d,
+    with the dimension of every node recorded in dims."""
+    digits = [Atom("V", d) for d in base_p_digits(l, p).digits if d]
+    e = functools.reduce(Tensor, digits) if digits else Atom("V", 0)
+    expr_dim(e, p, dims)
+    return e
+
+
+def _fill(e: ModuleExpr, p: int, out: np.ndarray, dims: dict) -> np.ndarray:
     """Write the matrix of u on e (accepted by expr_dim) into the zeroed square
-    out; return out.  L(l) is the tensor product of V(d), d its base-p digits."""
+    out; return out.  dims holds the dimension of every Sum and Tensor node
+    of e by id, as expr_dim records it."""
     if isinstance(e, (Dual, Twist)):
-        return _fill(e.inner, p, out)
+        return _fill(e.inner, p, out, dims)
     if isinstance(e, Atom) and e.kind == "L":
-        digits = [Atom("V", d) for d in base_p_digits(e.weight, p).digits if d]
-        return _fill(functools.reduce(Tensor, digits) if digits else Atom("V", 0), p, out)
+        return _fill(_steinberg(e.weight, p, dims), p, out, dims)
     if isinstance(e, Atom):  # Pascal(m) by Lucas' theorem, see pascal_matrix
         n = e.weight + 1
         D = out if n <= p else np.zeros((p, p), out.dtype)
@@ -442,66 +477,88 @@ def _fill(e: ModuleExpr, p: int, out: np.ndarray) -> np.ndarray:
             k = min(n, h * P.shape[0])
             P = _kron_lead(D[:h, :h], P, p, out if k == n else np.zeros((k, k), out.dtype))
         return out
-    k = expr_dim(e.left, p)
+    k = dims[id(e.left)]
     if isinstance(e, Sum):
-        _fill(e.left, p, out[:k, :k])
-        _fill(e.right, p, out[k:, k:])
+        _fill(e.left, p, out[:k, :k], dims)
+        _fill(e.right, p, out[k:, k:], dims)
         return out
     h = out.shape[0] // k
-    return _kron_lead(_fill(e.left, p, np.zeros((k, k), out.dtype)),
-                      _fill(e.right, p, np.zeros((h, h), out.dtype)), p, out)
+    return _kron_lead(_fill(e.left, p, np.zeros((k, k), out.dtype), dims),
+                      _fill(e.right, p, np.zeros((h, h), out.dtype), dims), p, out)
 
 
-def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> int:
-    """Dimension of a T-free expression, after the prime and dimension-cap checks."""
+def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> tuple[int, dict]:
+    """Dimension of a T-free expression, after the prime and dimension-cap
+    checks, and that of every node of it by id."""
     check_prime(p)
-    n = expr_dim(e, p)
-    if n > dim_cap:
+    dims = {}
+    if (n := expr_dim(e, p, dims)) > dim_cap:
         raise DimensionCapError(f"expression dimension {n} exceeds the oracle cap {dim_cap}")
-    return n
+    return n, dims
 
 
-def _terms(e: ModuleExpr) -> list[ModuleExpr]:
-    """Sum-free terms of e, in order, whose direct sum is similar to e:
-    duals and twists act as the identity, and kron distributes over direct
-    sums up to a permutation similarity."""
-    if isinstance(e, (Dual, Twist)):
-        return _terms(e.inner)
-    if isinstance(e, Sum):
-        return _terms(e.left) + _terms(e.right)
-    if isinstance(e, Tensor):
-        return [Tensor(a, b) for a in _terms(e.left) for b in _terms(e.right)]
-    return [e]
+def _plan(e: ModuleExpr, p: int, dims: dict):
+    """e with duals and twists stripped, as a leaf (e itself, when it has at
+    most _BLOCK rows or is a V atom) or as (Sum or Tensor, plan, plan); an L
+    atom above _BLOCK rows is planned as the tensor product of its digits."""
+    while isinstance(e, (Dual, Twist)):
+        e = e.inner
+    if dims[id(e)] <= _BLOCK or isinstance(e, Atom) and e.kind == "V":
+        return e
+    if isinstance(e, Atom):
+        return _plan(_steinberg(e.weight, p, dims), p, dims)
+    return type(e), _plan(e.left, p, dims), _plan(e.right, p, dims)
+
+
+def _type(node, types: dict, need: dict, dims: dict) -> collections.Counter | None:
+    """Jordan type {size: multiplicity} of a plan node from the known types of
+    leaves and of pairs (a, b), a <= b, that stand for kron(J_a, J_b); or
+    None, with the missing ones put in need with their dimensions."""
+    if not isinstance(node, tuple):
+        if (t := types.get(node)) is None:
+            need[node] = dims[id(node)]
+        return t
+    a, b = _type(node[1], types, need, dims), _type(node[2], types, need, dims)
+    if a is None or b is None:
+        return None
+    if node[0] is Sum:
+        return collections.Counter(a) + collections.Counter(b)
+    pairs = [(x, y, (min(x, y), max(x, y))) for x in a for y in b]
+    need.update({q: q[0] * q[1] for *_, q in pairs if q not in types})
+    if any(q not in types for *_, q in pairs):
+        return None
+    return sum((collections.Counter({s: a[x] * b[y] * m for s, m in types[q].items()})
+                for x, y, q in pairs), collections.Counter())
 
 
 def _block_ranks(e: ModuleExpr, p: int, dim_cap: int) -> tuple[list[int], np.dtype]:
-    """rank_sequence of u on e and the kernel's dtype for e's dimension.
-
-    Ranks of powers add over a block-diagonal matrix.  So the terms of e
-    are packed, in order, into diagonal blocks of at most _BLOCK rows (a
-    larger term is a block of its own, and e of at most _BLOCK rows is one
-    block), each block is ranked on its own, and the sequences are summed.
-    Every block uses the dtype of the whole dimension.
-    """
-    n = _checked_dim(e, p, dim_cap)
+    """rank_sequence of u on e, r_k = sum m max(s - k, 0) over the type of
+    e's plan, and the kernel's dtype for e's dimension, which every block
+    uses.  The matrices each round needs are packed, in order, into blocks
+    of at most _BLOCK rows (a larger one is a block of its own, and e of at
+    most _BLOCK rows is one block)."""
+    n, dims = _checked_dim(e, p, dim_cap)
     dtype = np.dtype(_float_dtype(n, p))
-    blocks, size = [], _BLOCK
-    for t in _terms(e):
-        d = expr_dim(t, p)
-        if size + d > _BLOCK:
-            blocks.append([])
-            size = 0
-        blocks[-1].append((t, d))
-        size += d
-    ranks = [0]
-    for block in blocks:
-        N = np.zeros((sum(d for _, d in block),) * 2, dtype)
-        at = 0
-        for t, d in block:
-            _fill(t, p, N[at:at + d, at:at + d])
-            at += d
-        ranks = [a + b for a, b in itertools.zip_longest(ranks, _ranks(N, p), fillvalue=0)]
-    return ranks, dtype
+    root, types = _plan(e, p, dims), {}
+    while (t := _type(root, types, need := {}, dims)) is None:
+        blocks, size = [], _BLOCK
+        for key, d in need.items():
+            if size + d > _BLOCK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((key, d))
+            size += d
+        for block in blocks:
+            cuts = list(itertools.accumulate(d for _, d in block))
+            N = np.zeros((cuts[-1],) * 2, dtype)
+            for (key, d), end in zip(block, cuts):
+                if isinstance(key, tuple):  # kron(J_a, J_b)
+                    J = [np.eye(k, dtype=dtype) + np.eye(k, k=1, dtype=dtype) for k in key]
+                    _kron_lead(*J, p, N[end - d:end, end - d:end])
+                else:
+                    _fill(key, p, N[end - d:end, end - d:end], dims)
+            types.update(zip((key for key, _ in block), map(_sizes, _ranks(N, p, cuts))))
+    return [sum(m * max(s - k, 0) for s, m in t.items()) for k in range(max(t) + 1)], dtype
 
 
 def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatrix:
@@ -511,8 +568,8 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
     twists and duals act as the identity on the matrix; both facts are
     property-tested rather than assumed silently.
     """
-    n = _checked_dim(e, p, dim_cap)
-    return _trusted(_fill(e, p, np.zeros((n, n), dtype=np.int64)), p)
+    n, dims = _checked_dim(e, p, dim_cap)
+    return _trusted(_fill(e, p, np.zeros((n, n), dtype=np.int64), dims), p)
 
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:

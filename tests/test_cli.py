@@ -251,7 +251,8 @@ def test_identify_not_found(capsys):
 @pytest.mark.parametrize("expr,cert", [
     ("L(14)", {"expr": "L(14)", "p": 5, "dim": 15, "dtype": "float32",
                "ranks": [15, 12, 9, 6, 3, 0], "jordan": [[5, 3]]}),
-    # 282 rows, ranked as diagonal blocks of 164 and 82 + 24 + 12 rows
+    # 282 rows: the 47- and 6-row factors ranked in one block, then the
+    # tensor from their Jordan blocks
     ("(V(40)+L(7))*(V(3)+V(1))",
      {"expr": "(V(40)+L(7))*(V(3)+V(1))", "p": 5, "dim": 282, "dtype": "float32",
       "ranks": [282, 222, 164, 107, 53, 0],
@@ -261,6 +262,28 @@ def test_oracle_verify(capsys, expr, cert):
     code, out, _ = run(capsys, "oracle-verify", "-p", "5", expr)
     assert code == 0
     assert json.loads(out) == cert
+
+
+def test_oracle_verify_tensor_above_block_width(capsys):
+    # 1408 rows, typed through the factors' Jordan blocks
+    code, out, _ = run(capsys, "oracle-verify", "-p", "3", "V(31)*V(43)")
+    assert code == 0
+    assert json.loads(out) == {"expr": "V(31)*V(43)", "p": 3, "dim": 1408,
+                               "dtype": "float32", "ranks": [1408, 938, 469, 0],
+                               "jordan": [[3, 469], [1, 1]]}
+
+
+def test_jordan_oracle_irreducible_tensor(capsys):
+    # 2625 rows: the leaves L(124), 125 rows, and V(20), then the pairs
+    # kron(J_a, J_b) of their blocks
+    code, out, err = run(capsys, "jordan", "-p", "5", "--oracle", "L(124)*V(20)")
+    assert (code, out, err) == (0, "5^525\n", "")
+
+
+def test_oracle_verify_cap_refusal_is_one_line(capsys):
+    code, out, err = run(capsys, "oracle-verify", "-p", "5", "L(3124)*L(3124)")
+    assert (code, out) == (1, "")
+    assert err == "error: expression dimension 9765625 exceeds the oracle cap 4096\n"
 
 
 def test_oracle_verify_dim_cap(capsys):

@@ -1,5 +1,6 @@
 """Finite-field matrix oracle: ranks, Jordan types, expression evaluation."""
 
+import functools
 import math
 import random
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import column_rank, naive_rank, rand_expr, unit_upper_inverse
-from unipjordan.core import DomainError, JordanType, parse_partition
+from unipjordan.core import DomainError, JordanType, base_p_digits, parse_partition
 from unipjordan.expr import Atom, Dual, Sum, Tensor, Twist, parse_expr, render_expr
 from unipjordan.oracle import (
     DimensionCapError,
@@ -58,8 +59,9 @@ def float_matrix(e, p):
     """Matrix of u on a T-free expression, filled whole by _fill in the
     kernel's float type for its dimension."""
     import unipjordan.oracle as oracle_mod
-    n = expr_dim(e, p)
-    return oracle_mod._fill(e, p, np.zeros((n, n), oracle_mod._float_dtype(n, p)))
+    dims = {}
+    n = expr_dim(e, p, dims)
+    return oracle_mod._fill(e, p, np.zeros((n, n), oracle_mod._float_dtype(n, p)), dims)
 
 
 def small_trees(seed, count, max_dim):
@@ -148,6 +150,42 @@ def float64_trees(seed, count):
         if 187 <= expr_dim(e, 107) <= 400:
             out.append((e, 107))
     return out
+
+
+# expressions above the block width whose plan has tensor nodes: L atoms
+# of three or more digits, one-dimensional factors, repeated subterms,
+# sums inside factors, and float64 at p = 1009
+PLANNED = [(parse_expr(text), p) for text, p in (
+    ("L(26)*V(10)", 3), ("L(124)*V(3)", 5), ("L(255)", 2), ("V(2)*L(342)^*", 7),
+    ("L(80)*(V(2)+L(4))", 3),
+    ("V(0)*V(200)", 5), ("(L(0)*(V(100)+V(50)))[1]", 3), ("V(150)^**L(0)", 7),
+    ("V(12)*V(12)+V(12)*V(12)^*", 5), ("(V(3)+V(3))*(V(3)+V(3))*V(6)", 2),
+    ("(V(10)+L(7))*V(20)", 3), ("V(30)*(V(4)+V(4)^*+V(1))", 7),
+    ("V(20)*V(30)", 1009), ("(V(5)+V(6))*V(40)", 1009), ("L(1024)*V(30)", 1009),
+)]
+
+
+def leaf_count(e, block, p):
+    """Leaves of e's plan, counted with repeats: subexpressions of at most
+    block rows and V atoms, L atoms above block rows split into digits."""
+    n = expr_dim(e, p)
+    if isinstance(e, (Dual, Twist)):
+        return leaf_count(e.inner, block, p)
+    if n <= block or isinstance(e, Atom) and e.kind == "V":
+        return 1
+    if isinstance(e, Atom):
+        digits = [Atom("V", d) for d in base_p_digits(e.weight, p).digits if d]
+        return leaf_count(functools.reduce(Tensor, digits), block, p)
+    return leaf_count(e.left, block, p) + leaf_count(e.right, block, p)
+
+
+def max_v_atom(e):
+    """Rows of the largest V atom of e."""
+    if isinstance(e, Atom):
+        return e.weight + 1 if e.kind == "V" else 1
+    if isinstance(e, (Dual, Twist)):
+        return max_v_atom(e.inner)
+    return max(max_v_atom(e.left), max_v_atom(e.right))
 
 
 class TestFpMatrix:
@@ -292,6 +330,43 @@ class TestRank:
                 rank_mod_p(M, 5)
 
 
+class TestPackedRanks:
+    # one _ranks call on a block-diagonal pack reads each member's rank
+    # sequence off the pivot columns that fall in the member's columns
+    @staticmethod
+    def member(rng, p):
+        """Pascal V(m), m < 300, often V(0); or kron(J_a, J_b), a, b <= p."""
+        kind = rng.randrange(3)
+        if kind == 0:
+            return pascal_matrix(0, p).array
+        if kind == 1:
+            return pascal_matrix(rng.randrange(300), p).array
+        a, b = rng.randrange(1, min(p, 17) + 1), rng.randrange(1, min(p, 17) + 1)
+        J = [np.eye(k, dtype=np.int64) + np.eye(k, k=1, dtype=np.int64) for k in (a, b)]
+        return np.kron(*J) % p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
+    def test_pack_reads_each_members_ranks(self, p):
+        import unipjordan.oracle as oracle_mod
+        dtype = np.float64 if p == 1009 else np.float32
+        rng = random.Random(p)
+        seen = set()
+        for _ in range(8):
+            members = [self.member(rng, p) for _ in range(rng.randrange(1, 7))]
+            cuts = np.cumsum([M.shape[0] for M in members]).tolist()
+            if p < 1009:
+                assert oracle_mod._float_dtype(cuts[-1], p) == dtype
+            pack = np.zeros((cuts[-1],) * 2, dtype)
+            for M, end in zip(members, cuts):
+                pack[end - M.shape[0]:end, end - M.shape[0]:end] = M
+            got = oracle_mod._ranks(pack, p, cuts)
+            alone = [oracle_mod._ranks(M.astype(dtype), p, [M.shape[0]])[0] for M in members]
+            assert got == alone, (p, [M.shape[0] for M in members])
+            seen |= {"V(0)"} if [1, 0] in alone else set()
+            seen |= {"lengths differ"} if len({len(r) for r in alone}) > 1 else set()
+        assert seen == {"V(0)", "lengths differ"}
+
+
 class TestJordanOfUnipotent:
     def test_identity(self):
         for n in (0, 1, 4, 9):
@@ -423,62 +498,74 @@ class TestOracleEval:
         import unipjordan.oracle as oracle_mod
 
         def fail(*args):
-            raise AssertionError("a term was made past the dimension cap")
+            raise AssertionError("a matrix was planned past the dimension cap")
 
-        monkeypatch.setattr(oracle_mod, "_fill", fail)
-        monkeypatch.setattr(oracle_mod, "_terms", fail)
+        for name in ("_fill", "_plan", "_ranks"):
+            monkeypatch.setattr(oracle_mod, name, fail)
         long_sum = parse_expr("+".join(["V(63)"] * 40))  # 2560 rows
         for f in (oracle_eval, oracle_certificate):
             with pytest.raises(DimensionCapError):
                 f(Tensor(long_sum, long_sum), 5)
 
     def test_block_ranks_match_whole_matrix(self, monkeypatch):
-        # the certificate path ranks the sum-free terms, packed into
-        # diagonal blocks, one block at a time; the summed sequence must
-        # be the rank sequence of the whole matrix
+        # the certificate path types leaves and pairs kron(J_a, J_b),
+        # packed into diagonal blocks, and composes the types up the plan;
+        # the ranks of the composed type must be those of the whole matrix
         import unipjordan.oracle as oracle_mod
         B = oracle_mod._BLOCK
-        cases = [(e, p, oracle_mod._ranks(float_matrix(e, p), p))
-                 for e, p in block_trees(31, 240, B) + float64_trees(32, 8)]
-        fill, ranks, terms = oracle_mod._fill, oracle_mod._ranks, oracle_mod._terms
-        filled, sizes, dtypes, split = [], [], [], []
+        cases = [(e, p, oracle_mod._ranks(float_matrix(e, p), p, [expr_dim(e, p)])[0])
+                 for e, p in block_trees(31, 240, B) + float64_trees(32, 8) + PLANNED]
+        fill, ranks = oracle_mod._fill, oracle_mod._ranks
+        leaves, pairs, filled, blocks, dtypes, depth = [], [], [], [], [], []
 
-        def spy_fill(e, p, out):
-            filled.append(e)
-            return fill(e, p, out)
+        def spy_fill(e, p, out, dims):
+            filled.append(out.shape[0])
+            if not depth:  # a leaf, not a node inside one
+                leaves.append(e)
+            depth.append(e)
+            try:
+                return fill(e, p, out, dims)
+            finally:
+                depth.pop()
 
-        def spy_ranks(N, p):
-            sizes.append(N.shape[0])
+        def spy_ranks(N, p, cuts):
             dtypes.append(N.dtype.name)
-            return ranks(N, p)
-
-        def spy_terms(e):
-            split.append(e)
-            return terms(e)
+            blocks.append(N.shape[0])
+            if len(leaves) == ranked[0]:
+                # no leaf filled since the last block: a block of pairs
+                # kron(J_a, J_b), each a diagonal block of N
+                pairs.extend(N[a:b, a:b].tobytes() for a, b in zip([0] + cuts[:-1], cuts))
+            ranked[0] = len(leaves)
+            return ranks(N, p, cuts)
 
         monkeypatch.setattr(oracle_mod, "_fill", spy_fill)
         monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
-        monkeypatch.setattr(oracle_mod, "_terms", spy_terms)
         seen = set()
         for e, p, want in cases:
-            for log in (filled, sizes, dtypes, split):
+            for log in (leaves, pairs, filled, blocks, dtypes):
                 log.clear()
+            ranked = [0]  # leaves filled before the last block was ranked
             n = want[0]
             cert = oracle_certificate(e, p)
             assert cert["ranks"] == want, (render_expr(e), p)
             assert cert["dtype"] == np.dtype(oracle_mod._float_dtype(n, p)).name
             # every block runs in the dtype of the whole dimension
             assert dtypes and all(d == cert["dtype"] for d in dtypes)
-            assert sum(sizes) == n
-            # every expression is split, and only sum-free terms are built
-            assert split[0] is e and not any("Sum" in node_kinds(f) for f in filled)
+            # each distinct leaf and pair matrix is built once, and no
+            # matrix is larger than the block width, p^2 or the largest V atom
+            assert len(set(leaves)) == len(leaves), (render_expr(e), p)
+            assert len(set(pairs)) == len(pairs), (render_expr(e), p)
+            assert max(filled + blocks) <= max(B, p * p, max_v_atom(e)), (render_expr(e), p)
             if n <= B:
-                assert sizes == [n]
-                seen.add("split, one block")
+                assert blocks == [n]
+                seen.add("one block")
             else:
-                seen.add("split" if len(sizes) > 1 else "one term")
+                seen.add("planned" if len(blocks) > 1 else "one leaf")
+                seen |= {"pairs"} if pairs else set()
+                seen |= {"repeated leaf"} if len(leaves) < leaf_count(e, B, p) else set()
             seen |= sum_places(e) | {f"dim {n}", cert["dtype"]}
-        assert seen >= {"split", "one term", "split, one block", "dim 127", "dim 128",
+        assert seen >= {"planned", "one leaf", "one block", "pairs", "repeated leaf",
+                        "dim 127", "dim 128",
                         "dim 129",
                         "float32", "float64",
                         "Sum in left factor", "Sum in right factor",
