@@ -82,7 +82,7 @@ class JordanType:
             raise DomainError(f"block sizes must be >= 1: {self.blocks}")
         if any(m < 1 for _, m in self.blocks):
             raise DomainError(f"multiplicities must be >= 1: {self.blocks}")
-        if sorted(set(sizes), reverse=True) != sizes:
+        if any(s <= t for s, t in zip(sizes, sizes[1:])):
             raise DomainError(f"blocks must be canonical (descending, merged): {self.blocks}")
 
     @classmethod

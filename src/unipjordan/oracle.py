@@ -32,6 +32,7 @@ twists fix the matrix).  Rounds of elimination type the leaves, then the
 pairs kron(J_a, J_b) the tensors ask for, each distinct matrix once,
 packed into diagonal blocks of at most _BLOCK rows: one elimination of a
 block gives each member's ranks, its pivot columns in the member's range.
+A pair (1, b) is not built: kron(J_1, J_b) is the matrix J_b itself.
 """
 
 from __future__ import annotations
@@ -524,6 +525,7 @@ def _type(node, types: dict, need: dict, dims: dict) -> collections.Counter | No
     if node[0] is Sum:
         return collections.Counter(a) + collections.Counter(b)
     pairs = [(x, y, (min(x, y), max(x, y))) for x in a for y in b]
+    types.update({q: {q[1]: 1} for *_, q in pairs if q[0] == 1})  # kron(J_1, J_b) is J_b
     need.update({q: q[0] * q[1] for *_, q in pairs if q not in types})
     if any(q not in types for *_, q in pairs):
         return None

@@ -571,6 +571,25 @@ class TestOracleEval:
                         "Sum in left factor", "Sum in right factor",
                         "Dual over Sum", "Twist over Sum"}
 
+    def test_pairs_with_a_one_row_factor_are_not_built(self, monkeypatch):
+        # kron(J_1, J_b) is J_b: a pair (1, b) is typed {b: 1} without a
+        # matrix; the leaves here build no Kronecker product with one row
+        import unipjordan.oracle as oracle_mod
+        first_rows = []
+        kron_lead = oracle_mod._kron_lead
+
+        def spy(x, y, p, out):
+            first_rows.append(x.shape[0])
+            return kron_lead(x, y, p, out)
+
+        monkeypatch.setattr(oracle_mod, "_kron_lead", spy)
+        for text, p in (("(V(0)+V(130))*V(20)", 5), ("(V(0)+V(130))*(V(1)+V(10))", 3),
+                        ("V(129)*(V(2)+V(0)+V(10))", 7)):
+            e = parse_expr(text)
+            first_rows.clear()
+            assert oracle_eval(e, p) == eval_expr(e, p).jordan, text
+            assert first_rows and 1 not in first_rows, text
+
     def test_build_matches_int64_reference(self):
         # the matrix is built once, in place: in the kernel's float type
         # for the certificate path and in int64 for expr_matrix

@@ -15,7 +15,7 @@ import unipjordan.sl2 as sl2
 from helpers import rand_expr
 from unipjordan.classtables import bundled_table, identify_from_expr
 from unipjordan.cli import main
-from unipjordan.core import DomainError, JordanType
+from unipjordan.core import DomainError, JordanType, base_p_digits
 from unipjordan.expr import Atom, Dual, Sum, Tensor, Twist, parse_expr, render_expr
 from unipjordan.sl2 import (
     eval_expr,
@@ -33,6 +33,37 @@ from unipjordan.sl2 import (
 def jt(text, p):
     from unipjordan.core import parse_partition
     return parse_partition(text, p)
+
+
+def per_pair(a, b):
+    """tensor_jordan_types by the per-pair tensor_jordan expansion."""
+    acc = {}
+    for s1, m1 in a.blocks:
+        for s2, m2 in b.blocks:
+            for size, mult in tensor_jordan(s1, s2, a.p).blocks:
+                acc[size] = acc.get(size, 0) + mult * m1 * m2
+    return JordanType.from_blocks(acc.items(), a.p)
+
+
+def reference_jordan(e, p):
+    """Jordan type of e folded node by node from the atoms' blocks with
+    per_pair and JordanType.add."""
+    if isinstance(e, Atom):
+        w = e.weight
+        if e.kind == "V":
+            return JordanType.from_blocks([(p, w // p), (w % p + 1, 1)], p)
+        if e.kind == "T":
+            free = [(p, tilting_dim(w, p) // p)]
+            return JordanType.from_blocks([(w + 1, 1)] if w < p else free, p)
+        t = JordanType.from_blocks([(1, 1)], p)
+        for d in base_p_digits(w, p).digits:
+            t = per_pair(t, JordanType.from_blocks([(d + 1, 1)], p))
+        return t
+    if isinstance(e, Sum):
+        return reference_jordan(e.left, p).add(reference_jordan(e.right, p))
+    if isinstance(e, Tensor):
+        return per_pair(reference_jordan(e.left, p), reference_jordan(e.right, p))
+    return reference_jordan(e.inner, p)
 
 
 class TestTensorJordan:
@@ -89,14 +120,6 @@ class TestTensorJordanTypes:
             tensor_jordan_types(JordanType.from_sizes([4], 3), JordanType.from_sizes([2], 3))
 
     def test_difference_arrays_match_per_pair_expansion(self):
-        def per_pair(a, b):
-            acc = {}
-            for s1, m1 in a.blocks:
-                for s2, m2 in b.blocks:
-                    for size, mult in tensor_jordan(s1, s2, a.p).blocks:
-                        acc[size] = acc.get(size, 0) + mult * m1 * m2
-            return JordanType.from_blocks(acc.items(), a.p)
-
         rng = random.Random(11)
         primes = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
         for _ in range(3000):
@@ -108,6 +131,40 @@ class TestTensorJordanTypes:
 
             a, b = rand_type(), rand_type()
             assert tensor_jordan_types(a, b) == per_pair(a, b), (a, b)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: weyl_jordan(-1, 5), "dominant weight must be >= 0, got -1",
+                     id="weyl-negative"),
+        pytest.param(lambda: weyl_jordan(3, 4), "characteristic must be a prime, got 4",
+                     id="weyl-composite"),
+        pytest.param(lambda: irrep_jordan(-1, 5), "weight must be non-negative, got -1",
+                     id="irrep-negative"),
+        pytest.param(lambda: irrep_jordan(3, 4), "characteristic must be a prime, got 4",
+                     id="irrep-composite"),
+        pytest.param(lambda: tilting_jordan(-1, 5), "dominant weight must be >= 0, got -1",
+                     id="tilting-negative"),
+        pytest.param(lambda: tilting_jordan(3, 4), "characteristic must be a prime, got 4",
+                     id="tilting-composite"),
+        pytest.param(lambda: tilting_dim(-2, 5), "dominant weight must be >= 0, got -2",
+                     id="tilting-dim-negative"),
+        pytest.param(lambda: tilting_dim(3, 1), "characteristic must be a prime, got 1",
+                     id="tilting-dim-composite"),
+        pytest.param(lambda: tensor_jordan_types(JordanType.from_sizes([2], 2),
+                                                 JordanType.from_sizes([2], 3)),
+                     "mismatched characteristics 2 != 3", id="tensor-mismatched"),
+        pytest.param(lambda: tensor_jordan_types(JordanType.from_sizes([4], 3),
+                                                 JordanType.from_sizes([2], 3)),
+                     "block sizes must be within [1, 3]: got 4", id="tensor-left-above-p"),
+        pytest.param(lambda: tensor_jordan_types(JordanType.from_sizes([2], 3),
+                                                 JordanType.from_sizes([5, 1], 3)),
+                     "block sizes must be within [1, 3]: got 5", id="tensor-right-above-p"),
+    ])
+    def test_public_wrappers_keep_their_refusals(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestWeylJordan:
@@ -224,6 +281,41 @@ class TestEvalExpr:
         e = Sum(Tensor(Atom("T", 7), Atom("L", 3)), Twist(Atom("V", 9), 2))
         res = eval_expr(e, 5)
         assert res.character.dim == res.jordan.dim
+
+    def test_matches_per_pair_reference_fold(self):
+        rng = random.Random(17)
+        seen = {"T": 0, "Dual": 0, "Twist": 0, "Tensor": 0}
+
+        def count(e):
+            name = e.kind if isinstance(e, Atom) else type(e).__name__
+            seen[name] = seen.get(name, 0) + 1
+            for child in (getattr(e, f, None) for f in ("left", "right", "inner")):
+                if child is not None:
+                    count(child)
+
+        for p in (2, 3, 5, 7, 11, 101):
+            for _ in range(350):
+                e = rand_expr(rng, depth=rng.randrange(0, 5 if p < 101 else 4), p=p)
+                count(e)
+                assert eval_expr(e, p).jordan == reference_jordan(e, p), (render_expr(e), p)
+        assert min(seen.values()) >= 100, seen
+
+    def test_one_jordan_type_per_call(self, monkeypatch):
+        built = []
+        post_init = JordanType.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(JordanType, "__post_init__", spy)
+        rng = random.Random(8)
+        for p in (2, 3, 5, 7):
+            for _ in range(100):
+                e = Sum(rand_expr(rng, depth=3, p=p), Tensor(Atom("V", 2 * p + 1), Atom("L", p)))
+                del built[:]
+                res = eval_expr(e, p)
+                assert built == [res.jordan], render_expr(e)
 
     def test_characters_built_only_when_read(self, monkeypatch, capsys):
         def forbidden(*args):
