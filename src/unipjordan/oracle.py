@@ -20,19 +20,22 @@ proves exact (int64 for the public builders), and each product is
 reduced into [0, p) where it is made.
 
 The certificate path (oracle_certificate, oracle_eval) builds no matrix
-of more rows than the largest of _BLOCK, p^2 and its V atoms.  Jordan
-types are similarity invariants, kron(PAP^-1, QBQ^-1) is similar to
-kron(A, B), and kron distributes over direct sums up to a permutation
+of more rows than the largest of _BLOCK, p^2 and its unsplit V atoms.
+Jordan types are similarity invariants, kron(PAP^-1, QBQ^-1) is similar
+to kron(A, B), and kron distributes over direct sums up to a permutation
 similarity.  So a sum's type is the union of its parts' types, and a
 tensor's is the sum of x y type(kron(J_a, J_b)) over its factors' blocks
 a and b of multiplicities x and y.  Above _BLOCK rows, an expression is
 planned as sums and tensors of leaves: subexpressions of at most _BLOCK
-rows, and V atoms (an L atom is the tensor of its digit atoms; duals and
-twists fix the matrix).  Rounds of elimination type the leaves, then the
-pairs kron(J_a, J_b) the tensors ask for, each distinct matrix once,
-packed into diagonal blocks of at most _BLOCK rows: one elimination of a
-block gives each member's ranks, its pivot columns in the member's range.
-A pair (1, b) is not built: kron(J_1, J_b) is the matrix J_b itself.
+rows, and V atoms.  Duals and twists fix the matrix, an L atom is the
+tensor of its digit atoms, and V(ap - 1) for a >= p is V(a - 1) (x)
+V(p - 1) by Lucas' theorem.  A leaf is keyed by its canonical form (duals
+and twists stripped, L atoms as digit tensors), so L(3) and V(3) at p = 5
+are one leaf.  Rounds of elimination type the leaves, then the pairs
+kron(J_a, J_b) the tensors ask for, each distinct matrix once, packed
+into diagonal blocks of at most _BLOCK rows: one elimination of a block
+gives each member's ranks, its pivot columns in the member's range.  A
+pair (1, b) is not built: kron(J_1, J_b) is the matrix J_b itself.
 """
 
 from __future__ import annotations
@@ -498,16 +501,36 @@ def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> tuple[int, dict]:
     return n, dims
 
 
-def _plan(e: ModuleExpr, p: int, dims: dict):
-    """e with duals and twists stripped, as a leaf (e itself, when it has at
-    most _BLOCK rows or is a V atom) or as (Sum or Tensor, plan, plan); an L
-    atom above _BLOCK rows is planned as the tensor product of its digits."""
+def _canon(e: ModuleExpr, p: int, dims: dict) -> ModuleExpr:
+    """e with duals and twists stripped at every depth and each L atom written
+    as its digit tensor, the dimension of every new node recorded in dims:
+    two leaves with equal canonical forms have equal matrices."""
     while isinstance(e, (Dual, Twist)):
         e = e.inner
-    if dims[id(e)] <= _BLOCK or isinstance(e, Atom) and e.kind == "V":
-        return e
     if isinstance(e, Atom):
-        return _plan(_steinberg(e.weight, p, dims), p, dims)
+        return _steinberg(e.weight, p, dims) if e.kind == "L" else e
+    c = type(e)(_canon(e.left, p, dims), _canon(e.right, p, dims))
+    dims[id(c)] = dims[id(e)]
+    return c
+
+
+def _plan(e: ModuleExpr, p: int, dims: dict):
+    """e as a leaf (its canonical form when it has at most _BLOCK rows, or a
+    V atom) or as (Sum or Tensor, plan, plan), duals and twists stripped.
+    Above _BLOCK rows an L atom is the tensor of its digits, and V(ap - 1)
+    for a >= p is V(a - 1) (x) V(p - 1), whose Kronecker product is its
+    Pascal matrix by Lucas' theorem (for a < p, kron(J_a, J_p) is as large)."""
+    while isinstance(e, (Dual, Twist)):
+        e = e.inner
+    if (n := dims[id(e)]) <= _BLOCK:
+        return _canon(e, p, dims)
+    if isinstance(e, Atom):
+        if e.kind == "V" and (n % p or n < p * p):
+            return e
+        if e.kind == "L":
+            return _plan(_steinberg(e.weight, p, dims), p, dims)
+        e = Tensor(Atom("V", n // p - 1), Atom("V", p - 1))
+        expr_dim(e, p, dims)
     return type(e), _plan(e.left, p, dims), _plan(e.right, p, dims)
 
 
@@ -541,7 +564,7 @@ def _block_ranks(e: ModuleExpr, p: int, dim_cap: int) -> tuple[list[int], np.dty
     most _BLOCK rows is one block)."""
     n, dims = _checked_dim(e, p, dim_cap)
     dtype = np.dtype(_float_dtype(n, p))
-    root, types = _plan(e, p, dims), {}
+    root, types = (_plan(e, p, dims) if n > _BLOCK else e), {}  # one leaf shares nothing
     while (t := _type(root, types, need := {}, dims)) is None:
         blocks, size = [], _BLOCK
         for key, d in need.items():

@@ -280,6 +280,20 @@ def test_jordan_oracle_irreducible_tensor(capsys):
     assert (code, out, err) == (0, "5^525\n", "")
 
 
+def test_jordan_oracle_weyl_atom_at_the_cap(capsys):
+    # 4096 rows, planned by Lucas' theorem as V(127) and 2-row factors
+    closed = run(capsys, "jordan", "-p", "2", "V(4095)")
+    assert run(capsys, "jordan", "-p", "2", "--oracle", "V(4095)") == closed == (0, "2^2048\n", "")
+
+
+def test_oracle_verify_split_weyl_atom_ranks(capsys):
+    # 1458 = 2 * 3^6 rows: the certificate's ranks are the whole Pascal matrix's
+    from unipjordan.oracle import pascal_matrix, rank_sequence
+    code, out, _ = run(capsys, "oracle-verify", "-p", "3", "V(1457)")
+    assert code == 0
+    assert json.loads(out)["ranks"] == rank_sequence(pascal_matrix(1457, 3))
+
+
 def test_oracle_verify_cap_refusal_is_one_line(capsys):
     code, out, err = run(capsys, "oracle-verify", "-p", "5", "L(3124)*L(3124)")
     assert (code, out) == (1, "")

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import column_rank, naive_rank, rand_expr, unit_upper_inverse
-from unipjordan.core import DomainError, JordanType, base_p_digits, parse_partition
+from unipjordan.core import (
+    DEFAULT_DIM_CAP,
+    DomainError,
+    JordanType,
+    base_p_digits,
+    parse_partition,
+)
 from unipjordan.expr import Atom, Dual, Sum, Tensor, Twist, parse_expr, render_expr
 from unipjordan.oracle import (
     DimensionCapError,
@@ -162,30 +168,47 @@ PLANNED = [(parse_expr(text), p) for text, p in (
     ("V(12)*V(12)+V(12)*V(12)^*", 5), ("(V(3)+V(3))*(V(3)+V(3))*V(6)", 2),
     ("(V(10)+L(7))*V(20)", 3), ("V(30)*(V(4)+V(4)^*+V(1))", 7),
     ("V(20)*V(30)", 1009), ("(V(5)+V(6))*V(40)", 1009), ("L(1024)*V(30)", 1009),
+    # V atoms split by Lucas' theorem, once or repeatedly; leaves that are
+    # one matrix under two expressions (L(3) and V(3) at p = 5, a dual
+    # inside a sum)
+    ("V(2047)", 2), ("V(1457)", 3), ("V(249)", 5), ("V(685)", 7), ("V(1151)*V(1)", 2),
+    ("V(624)", 5), ("(L(3)+V(3))*V(200)", 5),
+    ("L(3)*V(60)+(V(3)^*+V(1))*V(60)+(V(3)+V(1))^**V(60)", 5),
 )]
+
+
+def lucas_split(n, block, p):
+    """Whether the plan splits a V atom of n rows by Lucas' theorem."""
+    return n > block and n % p == 0 and n >= p * p
 
 
 def leaf_count(e, block, p):
     """Leaves of e's plan, counted with repeats: subexpressions of at most
-    block rows and V atoms, L atoms above block rows split into digits."""
+    block rows and V atoms; above block rows an L atom splits into its
+    digits and V(ap - 1), a >= p, into V(a - 1) and V(p - 1)."""
     n = expr_dim(e, p)
     if isinstance(e, (Dual, Twist)):
         return leaf_count(e.inner, block, p)
-    if n <= block or isinstance(e, Atom) and e.kind == "V":
+    if n <= block:
         return 1
+    if isinstance(e, Atom) and e.kind == "V":
+        return leaf_count(Atom("V", n // p - 1), block, p) + 1 if lucas_split(n, block, p) else 1
     if isinstance(e, Atom):
         digits = [Atom("V", d) for d in base_p_digits(e.weight, p).digits if d]
         return leaf_count(functools.reduce(Tensor, digits), block, p)
     return leaf_count(e.left, block, p) + leaf_count(e.right, block, p)
 
 
-def max_v_atom(e):
-    """Rows of the largest V atom of e."""
+def max_v_atom(e, block, p):
+    """Rows of the largest V atom of e's plan that Lucas' theorem does not split."""
     if isinstance(e, Atom):
-        return e.weight + 1 if e.kind == "V" else 1
+        n = e.weight + 1 if e.kind == "V" else 1
+        if lucas_split(n, block, p):
+            return max(max_v_atom(Atom("V", n // p - 1), block, p), p)
+        return n
     if isinstance(e, (Dual, Twist)):
-        return max_v_atom(e.inner)
-    return max(max_v_atom(e.left), max_v_atom(e.right))
+        return max_v_atom(e.inner, block, p)
+    return max(max_v_atom(e.left, block, p), max_v_atom(e.right, block, p))
 
 
 class TestFpMatrix:
@@ -520,13 +543,13 @@ class TestOracleEval:
 
         def spy_fill(e, p, out, dims):
             filled.append(out.shape[0])
-            if not depth:  # a leaf, not a node inside one
-                leaves.append(e)
             depth.append(e)
             try:
                 return fill(e, p, out, dims)
             finally:
                 depth.pop()
+                if not depth:  # a leaf, not a node inside one
+                    leaves.append((out.shape[0], out.tobytes()))
 
         def spy_ranks(N, p, cuts):
             dtypes.append(N.dtype.name)
@@ -552,10 +575,12 @@ class TestOracleEval:
             # every block runs in the dtype of the whole dimension
             assert dtypes and all(d == cert["dtype"] for d in dtypes)
             # each distinct leaf and pair matrix is built once, and no
-            # matrix is larger than the block width, p^2 or the largest V atom
+            # matrix is larger than the block width, p^2 or the largest
+            # unsplit V atom
             assert len(set(leaves)) == len(leaves), (render_expr(e), p)
             assert len(set(pairs)) == len(pairs), (render_expr(e), p)
-            assert max(filled + blocks) <= max(B, p * p, max_v_atom(e)), (render_expr(e), p)
+            assert max(filled + blocks) <= max(B, p * p, max_v_atom(e, B, p)), \
+                (render_expr(e), p)
             if n <= B:
                 assert blocks == [n]
                 seen.add("one block")
@@ -589,6 +614,52 @@ class TestOracleEval:
             first_rows.clear()
             assert oracle_eval(e, p) == eval_expr(e, p).jordan, text
             assert first_rows and 1 not in first_rows, text
+
+    def test_split_weyl_atom_builds_no_matrix_above_block_width(self, monkeypatch):
+        # V(4095) at p = 2, at the default cap, is planned by Lucas' theorem
+        # as the 128-row leaf V(127), the 2-row leaf V(1) and kron(J_2, J_2)
+        import unipjordan.oracle as oracle_mod
+        rows = []
+        fill, ranks = oracle_mod._fill, oracle_mod._ranks
+
+        def spy_fill(e, p, out, dims):
+            rows.append(out.shape[0])
+            return fill(e, p, out, dims)
+
+        def spy_ranks(N, p, cuts):
+            rows.append(N.shape[0])
+            return ranks(N, p, cuts)
+
+        monkeypatch.setattr(oracle_mod, "_fill", spy_fill)
+        monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
+        e = parse_expr("V(4095)")
+        assert expr_dim(e, 2) == DEFAULT_DIM_CAP
+        assert oracle_eval(e, 2) == eval_expr(e, 2).jordan
+        assert rows and max(rows) <= oracle_mod._BLOCK
+
+    def test_weyl_atom_splits_only_when_a_is_at_least_p(self, monkeypatch):
+        # V(ap - 1) above the block width is planned as V(a - 1) (x) V(p - 1)
+        # only when a >= p: for a < p the pair kron(J_a, J_p) would have
+        # as many rows as the atom
+        import unipjordan.oracle as oracle_mod
+        blocks = []
+        ranks = oracle_mod._ranks
+
+        def spy_ranks(N, p, cuts):
+            blocks.append(N.shape[0])
+            return ranks(N, p, cuts)
+
+        monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
+        for text, p, plan, largest in (
+                ("V(142)", 11, (Tensor, Atom("V", 12), Atom("V", 10)), 121),  # 143 = 13 * 11
+                ("V(155)", 13, Atom("V", 155), 156)):  # 156 = 12 * 13
+            e = parse_expr(text)
+            dims = {}
+            expr_dim(e, p, dims)
+            assert oracle_mod._plan(e, p, dims) == plan
+            blocks.clear()
+            assert oracle_eval(e, p) == eval_expr(e, p).jordan
+            assert max(blocks) == largest, text
 
     def test_build_matches_int64_reference(self):
         # the matrix is built once, in place: in the kernel's float type
