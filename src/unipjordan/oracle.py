@@ -20,18 +20,20 @@ proves exact (int64 for the public builders), and each product is
 reduced into [0, p) where it is made.
 
 The certificate path (oracle_certificate, oracle_eval) builds no matrix
-of more rows than the largest of _BLOCK, p^2 and its unsplit V atoms.
-Jordan types are similarity invariants, kron(PAP^-1, QBQ^-1) is similar
-to kron(A, B), and kron distributes over direct sums up to a permutation
-similarity.  So a sum's type is the union of its parts' types, and a
-tensor's is the sum of x y type(kron(J_a, J_b)) over its factors' blocks
-a and b of multiplicities x and y.  Above _BLOCK rows, an expression is
-planned as sums and tensors of leaves: subexpressions of at most _BLOCK
-rows, and V atoms.  Duals and twists fix the matrix, an L atom is the
-tensor of its digit atoms, and V(ap - 1) for a >= p is V(a - 1) (x)
-V(p - 1) by Lucas' theorem.  A leaf is keyed by its canonical form (duals
-and twists stripped, L atoms as digit tensors), so L(3) and V(3) at p = 5
-are one leaf.  Rounds of elimination type the leaves, then the pairs
+of more rows than the larger of _BLOCK and p^2.  Jordan types are
+similarity invariants, kron(PAP^-1, QBQ^-1) is similar to kron(A, B),
+and kron distributes over direct sums up to a permutation similarity.
+So a sum's type is the union of its parts' types, and a tensor's is the
+sum of x y type(kron(J_a, J_b)) over its factors' blocks a and b of
+multiplicities x and y.  Above _BLOCK rows, an expression is planned as
+sums and tensors of leaves: subexpressions of at most _BLOCK rows, and
+V atoms of fewer than p^2 rows.  Duals and twists fix the matrix, an L
+atom is the tensor of its digit atoms, and a V atom of qp + s >= p^2
+rows, s < p, is V(q - 1) (x) V(p - 1) by Lucas' theorem plus the leaf
+V(s - 1), once the first part's computed type shows it free (see
+_type).  A leaf is keyed by its canonical form (duals and twists
+stripped, L atoms as digit tensors), so L(3) and V(3) at p = 5 are one
+leaf.  Rounds of elimination type the leaves, then the pairs
 kron(J_a, J_b) the tensors ask for, each distinct matrix once, packed
 into diagonal blocks of at most _BLOCK rows: one elimination of a block
 gives each member's ranks, its pivot columns in the member's range.  A
@@ -517,18 +519,23 @@ def _canon(e: ModuleExpr, p: int, dims: dict) -> ModuleExpr:
 def _plan(e: ModuleExpr, p: int, dims: dict):
     """e as a leaf (its canonical form when it has at most _BLOCK rows, or a
     V atom) or as (Sum or Tensor, plan, plan), duals and twists stripped.
-    Above _BLOCK rows an L atom is the tensor of its digits, and V(ap - 1)
-    for a >= p is V(a - 1) (x) V(p - 1), whose Kronecker product is its
-    Pascal matrix by Lucas' theorem (for a < p, kron(J_a, J_p) is as large)."""
+    Above _BLOCK rows an L atom is the tensor of its digits, and a V atom of
+    n = qp + s >= p^2 rows, 0 <= s < p, is V(q - 1) (x) V(p - 1), whose
+    Kronecker product is Pascal(qp - 1) by Lucas' theorem, when s = 0, and
+    (p, plan of V(qp - 1), leaf V(s - 1)) when s > 0: see _type."""
     while isinstance(e, (Dual, Twist)):
         e = e.inner
     if (n := dims[id(e)]) <= _BLOCK:
         return _canon(e, p, dims)
     if isinstance(e, Atom):
-        if e.kind == "V" and (n % p or n < p * p):
+        if e.kind == "V" and n < p * p:
             return e
         if e.kind == "L":
             return _plan(_steinberg(e.weight, p, dims), p, dims)
+        if s := n % p:
+            free, rest = Atom("V", n - s - 1), Atom("V", s - 1)
+            expr_dim(Sum(free, rest), p, dims)
+            return p, _plan(free, p, dims), rest
         e = Tensor(Atom("V", n // p - 1), Atom("V", p - 1))
         expr_dim(e, p, dims)
     return type(e), _plan(e.left, p, dims), _plan(e.right, p, dims)
@@ -537,7 +544,11 @@ def _plan(e: ModuleExpr, p: int, dims: dict):
 def _type(node, types: dict, need: dict, dims: dict) -> collections.Counter | None:
     """Jordan type {size: multiplicity} of a plan node from the known types of
     leaves and of pairs (a, b), a <= b, that stand for kron(J_a, J_b); or
-    None, with the missing ones put in need with their dimensions."""
+    None, with the missing ones put in need with their dimensions.  A node
+    (p, U, V(s - 1)) is a V atom of qp + s rows, whose upper triangular Pascal
+    matrix has diagonal blocks Pascal(qp - 1), U's, and (Lucas) Pascal(s - 1):
+    a U of only size-p blocks is free over the self-injective K[x]/(x^p), so
+    a direct summand, and the atom's type is the union of the two."""
     if not isinstance(node, tuple):
         if (t := types.get(node)) is None:
             need[node] = dims[id(node)]
@@ -545,7 +556,9 @@ def _type(node, types: dict, need: dict, dims: dict) -> collections.Counter | No
     a, b = _type(node[1], types, need, dims), _type(node[2], types, need, dims)
     if a is None or b is None:
         return None
-    if node[0] is Sum:
+    if node[0] is not Tensor:
+        if node[0] is not Sum and set(a) != {node[0]}:
+            raise RuntimeError(f"free part of a split V atom has type {dict(a)}: bug")
         return collections.Counter(a) + collections.Counter(b)
     pairs = [(x, y, (min(x, y), max(x, y))) for x in a for y in b]
     types.update({q: {q[1]: 1} for *_, q in pairs if q[0] == 1})  # kron(J_1, J_b) is J_b

@@ -286,6 +286,15 @@ def test_jordan_oracle_weyl_atom_at_the_cap(capsys):
     assert run(capsys, "jordan", "-p", "2", "--oracle", "V(4095)") == closed == (0, "2^2048\n", "")
 
 
+@pytest.mark.parametrize("p, expr, closed", [
+    (3, "V(1599)", "3^533 1"), (5, "V(1151)", "5^230 2"), (7, "V(1023)", "7^146 2")])
+def test_jordan_oracle_weyl_atom_with_remainder(capsys, p, expr, closed):
+    # p does not divide the dimension: a free Lucas part plus a remainder leaf
+    want = (0, closed + "\n", "")
+    assert run(capsys, "jordan", "-p", str(p), expr) == want
+    assert run(capsys, "jordan", "-p", str(p), "--oracle", expr) == want
+
+
 def test_oracle_verify_split_weyl_atom_ranks(capsys):
     # 1458 = 2 * 3^6 rows: the certificate's ranks are the whole Pascal matrix's
     from unipjordan.oracle import pascal_matrix, rank_sequence

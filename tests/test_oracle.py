@@ -174,41 +174,38 @@ PLANNED = [(parse_expr(text), p) for text, p in (
     ("V(2047)", 2), ("V(1457)", 3), ("V(249)", 5), ("V(685)", 7), ("V(1151)*V(1)", 2),
     ("V(624)", 5), ("(L(3)+V(3))*V(200)", 5),
     ("L(3)*V(60)+(V(3)^*+V(1))*V(60)+(V(3)+V(1))^**V(60)", 5),
+    # V atoms that p does not divide: a free Lucas part plus a remainder
+    # leaf, repeatedly; at p = 13, 169 rows is a tensor alone and 171 rows
+    # a free part plus V(1)
+    ("V(1599)", 3), ("V(1151)", 5), ("V(1023)", 7), ("V(639)", 3),
+    ("V(168)", 13), ("V(170)", 13),
 )]
 
 
-def lucas_split(n, block, p):
-    """Whether the plan splits a V atom of n rows by Lucas' theorem."""
-    return n > block and n % p == 0 and n >= p * p
+def weyl_split(n, block, p):
+    """Whether the plan splits a V atom of n = qp + s rows, s < p: into
+    V(qp - 1), by Lucas' theorem V(q - 1) (x) V(p - 1), and V(s - 1)."""
+    return n > block and n >= p * p
 
 
 def leaf_count(e, block, p):
     """Leaves of e's plan, counted with repeats: subexpressions of at most
     block rows and V atoms; above block rows an L atom splits into its
-    digits and V(ap - 1), a >= p, into V(a - 1) and V(p - 1)."""
+    digits and a V atom as weyl_split says, with no leaf for s = 0."""
     n = expr_dim(e, p)
     if isinstance(e, (Dual, Twist)):
         return leaf_count(e.inner, block, p)
     if n <= block:
         return 1
     if isinstance(e, Atom) and e.kind == "V":
-        return leaf_count(Atom("V", n // p - 1), block, p) + 1 if lucas_split(n, block, p) else 1
+        if not weyl_split(n, block, p):
+            return 1
+        q, s = divmod(n, p)
+        return leaf_count(Atom("V", q * p - 1 if s else q - 1), block, p) + 1
     if isinstance(e, Atom):
         digits = [Atom("V", d) for d in base_p_digits(e.weight, p).digits if d]
         return leaf_count(functools.reduce(Tensor, digits), block, p)
     return leaf_count(e.left, block, p) + leaf_count(e.right, block, p)
-
-
-def max_v_atom(e, block, p):
-    """Rows of the largest V atom of e's plan that Lucas' theorem does not split."""
-    if isinstance(e, Atom):
-        n = e.weight + 1 if e.kind == "V" else 1
-        if lucas_split(n, block, p):
-            return max(max_v_atom(Atom("V", n // p - 1), block, p), p)
-        return n
-    if isinstance(e, (Dual, Twist)):
-        return max_v_atom(e.inner, block, p)
-    return max(max_v_atom(e.left, block, p), max_v_atom(e.right, block, p))
 
 
 class TestFpMatrix:
@@ -575,12 +572,10 @@ class TestOracleEval:
             # every block runs in the dtype of the whole dimension
             assert dtypes and all(d == cert["dtype"] for d in dtypes)
             # each distinct leaf and pair matrix is built once, and no
-            # matrix is larger than the block width, p^2 or the largest
-            # unsplit V atom
+            # matrix is larger than the block width or p^2
             assert len(set(leaves)) == len(leaves), (render_expr(e), p)
             assert len(set(pairs)) == len(pairs), (render_expr(e), p)
-            assert max(filled + blocks) <= max(B, p * p, max_v_atom(e, B, p)), \
-                (render_expr(e), p)
+            assert max(filled + blocks) <= max(B, p * p), (render_expr(e), p)
             if n <= B:
                 assert blocks == [n]
                 seen.add("one block")
@@ -617,7 +612,9 @@ class TestOracleEval:
 
     def test_split_weyl_atom_builds_no_matrix_above_block_width(self, monkeypatch):
         # V(4095) at p = 2, at the default cap, is planned by Lucas' theorem
-        # as the 128-row leaf V(127), the 2-row leaf V(1) and kron(J_2, J_2)
+        # as the 128-row leaf V(127), the 2-row leaf V(1) and kron(J_2, J_2);
+        # V(1599) at p = 3, V(1151) at p = 5 and V(1023) at p = 7, which p
+        # does not divide, as free Lucas parts plus remainder leaves
         import unipjordan.oracle as oracle_mod
         rows = []
         fill, ranks = oracle_mod._fill, oracle_mod._ranks
@@ -632,15 +629,18 @@ class TestOracleEval:
 
         monkeypatch.setattr(oracle_mod, "_fill", spy_fill)
         monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
-        e = parse_expr("V(4095)")
-        assert expr_dim(e, 2) == DEFAULT_DIM_CAP
-        assert oracle_eval(e, 2) == eval_expr(e, 2).jordan
-        assert rows and max(rows) <= oracle_mod._BLOCK
+        assert expr_dim(parse_expr("V(4095)"), 2) == DEFAULT_DIM_CAP
+        for text, p in (("V(4095)", 2), ("V(1599)", 3), ("V(1151)", 5), ("V(1023)", 7)):
+            e = parse_expr(text)
+            rows.clear()
+            assert oracle_eval(e, p) == eval_expr(e, p).jordan, text
+            assert rows and max(rows) <= oracle_mod._BLOCK, text
 
-    def test_weyl_atom_splits_only_when_a_is_at_least_p(self, monkeypatch):
-        # V(ap - 1) above the block width is planned as V(a - 1) (x) V(p - 1)
-        # only when a >= p: for a < p the pair kron(J_a, J_p) would have
-        # as many rows as the atom
+    def test_weyl_atom_splits_only_from_p_squared_rows(self, monkeypatch):
+        # a V atom of n = qp + s rows, s < p, above the block width is
+        # planned as V(q - 1) (x) V(p - 1) plus the leaf V(s - 1) only when
+        # n >= p^2: below, the pair kron(J_q, J_p) would have as many rows
+        # as the atom
         import unipjordan.oracle as oracle_mod
         blocks = []
         ranks = oracle_mod._ranks
@@ -650,9 +650,13 @@ class TestOracleEval:
             return ranks(N, p, cuts)
 
         monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
+        V12 = (Tensor, Atom("V", 12), Atom("V", 12))
         for text, p, plan, largest in (
                 ("V(142)", 11, (Tensor, Atom("V", 12), Atom("V", 10)), 121),  # 143 = 13 * 11
-                ("V(155)", 13, Atom("V", 155), 156)):  # 156 = 12 * 13
+                ("V(155)", 13, Atom("V", 155), 156),  # 156 = 12 * 13
+                ("V(167)", 13, Atom("V", 167), 168),  # 168 = 12 * 13 + 12
+                ("V(168)", 13, V12, 169),  # 169 = 13 * 13
+                ("V(170)", 13, (13, V12, Atom("V", 1)), 169)):  # 171 = 13 * 13 + 2
             e = parse_expr(text)
             dims = {}
             expr_dim(e, p, dims)
@@ -660,6 +664,35 @@ class TestOracleEval:
             blocks.clear()
             assert oracle_eval(e, p) == eval_expr(e, p).jordan
             assert max(blocks) == largest, text
+
+    def test_split_weyl_atom_ranks_match_whole_matrix(self):
+        # a V atom of qp + s rows, p not dividing it, is typed as its free
+        # Lucas part plus the leaf V(s - 1); its ranks are the whole
+        # Pascal matrix's
+        import unipjordan.oracle as oracle_mod
+        cases = [(m, p) for p in (2, 3, 5, 7) for m in range(129, 420, 7)]
+        cases += [(m, p) for p in (11, 13) for m in range(p * p - 1, p * p + 31)]
+        for m, p in cases:
+            assert oracle_mod._block_ranks(Atom("V", m), p, DEFAULT_DIM_CAP)[0] \
+                == rank_sequence(pascal_matrix(m, p)), (m, p)
+
+    def test_split_weyl_atom_checks_its_free_part(self, monkeypatch):
+        # the free part of V(1599) at p = 3 is built from the pairs
+        # kron(J_2, J_3) and kron(J_3, J_3); a wrong type of J_2 (x) J_3
+        # ({2: 3} in place of {3: 2}) leaves it not free, which the split
+        # must refuse rather than take as a direct summand
+        import unipjordan.oracle as oracle_mod
+        e = parse_expr("V(1599)")
+        assert oracle_certificate(e, 3)["jordan"] == [[3, 533], [1, 1]]
+        sizes = oracle_mod._sizes
+
+        def wrong(ranks):
+            t = sizes(ranks)
+            return {2: 3} if t == {3: 2} else t
+
+        monkeypatch.setattr(oracle_mod, "_sizes", wrong)
+        with pytest.raises(RuntimeError, match="bug"):
+            oracle_certificate(e, 3)
 
     def test_build_matches_int64_reference(self):
         # the matrix is built once, in place: in the kernel's float type
