@@ -31,13 +31,14 @@ V atoms of fewer than p^2 rows.  Duals and twists fix the matrix, an L
 atom is the tensor of its digit atoms, and a V atom of qp + s >= p^2
 rows, s < p, is V(q - 1) (x) V(p - 1) by Lucas' theorem plus the leaf
 V(s - 1), once the first part's computed type shows it free (see
-_type).  A leaf is keyed by its canonical form (duals and twists
-stripped, L atoms as digit tensors), so L(3) and V(3) at p = 5 are one
-leaf.  Rounds of elimination type the leaves, then the pairs
-kron(J_a, J_b) the tensors ask for, each distinct matrix once, packed
-into diagonal blocks of at most _BLOCK rows: one elimination of a block
-gives each member's ranks, its pivot columns in the member's range.  A
-pair (1, b) is not built: kron(J_1, J_b) is the matrix J_b itself.
+_type).  Rounds of elimination type the leaves, then the pairs
+kron(J_a, J_b) the tensors ask for.  Each distinct matrix is eliminated
+once per request, keyed by its bytes, so V(3), the leaf V(1)*V(1) and
+the pair kron(J_2, J_2) at p = 2 share one elimination.  A round packs
+its new matrices into diagonal blocks of at most _BLOCK rows: one
+elimination of a block gives each member's ranks, its pivot columns in
+the member's range.  A pair (1, b) is not built: kron(J_1, J_b) is
+the matrix J_b itself.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DIM_CAP, DomainError, JordanType, base_p_digits, check_prime
+from .core import DEFAULT_DIM_CAP, DomainError, JordanType, check_prime
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist, render_expr
 
 _BLOCK = 128
@@ -116,7 +117,7 @@ def pascal_matrix(m: int, p: int) -> FpMatrix:
     only the p x p digit block is summed row by row.
     """
     e = Atom("V", m)  # refuses m < 0
-    return _trusted(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64), {}), p)
+    return _trusted(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64)), p)
 
 
 def _kron_lead(x: np.ndarray, y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -434,43 +435,41 @@ def _partition_from_ranks(ranks: list[int], p: int) -> JordanType:
 # expression-level oracle
 
 
-def expr_dim(e: ModuleExpr, p: int, dims: dict | None = None) -> int:
-    """Dimension of a T-free expression (L and V atoms only); dims, when
-    given, records that of every node of e by id."""
+def expr_dim(e: ModuleExpr, p: int) -> int:
+    """Dimension of a T-free expression (L and V atoms only) at the prime p,
+    which the caller has checked."""
     if isinstance(e, Atom):
         if e.kind not in ("L", "V"):
             raise DomainError("tilting atoms have no oracle matrix model")
-        n = e.weight + 1 if e.kind == "V" else \
-            math.prod(d + 1 for d in base_p_digits(e.weight, p).digits)
-    elif isinstance(e, (Dual, Twist)):
-        n = expr_dim(e.inner, p, dims)
-    elif isinstance(e, (Sum, Tensor)):
-        op = operator.add if isinstance(e, Sum) else operator.mul
-        n = op(expr_dim(e.left, p, dims), expr_dim(e.right, p, dims))
-    else:
-        raise TypeError(f"not a module expression: {e!r}")
-    if dims is not None:
-        dims[id(e)] = n
-    return n
-
-
-def _steinberg(l: int, p: int, dims: dict) -> ModuleExpr:
-    """L(l) as the tensor product of V(d) over its nonzero base-p digits d,
-    with the dimension of every node recorded in dims."""
-    digits = [Atom("V", d) for d in base_p_digits(l, p).digits if d]
-    e = functools.reduce(Tensor, digits) if digits else Atom("V", 0)
-    expr_dim(e, p, dims)
-    return e
-
-
-def _fill(e: ModuleExpr, p: int, out: np.ndarray, dims: dict) -> np.ndarray:
-    """Write the matrix of u on e (accepted by expr_dim) into the zeroed square
-    out; return out.  dims holds the dimension of every Sum and Tensor node
-    of e by id, as expr_dim records it."""
+        return e.weight + 1 if e.kind == "V" else math.prod(d + 1 for d in _digits(e.weight, p))
     if isinstance(e, (Dual, Twist)):
-        return _fill(e.inner, p, out, dims)
+        return expr_dim(e.inner, p)
+    if isinstance(e, (Sum, Tensor)):
+        op = operator.add if isinstance(e, Sum) else operator.mul
+        return op(expr_dim(e.left, p), expr_dim(e.right, p))
+    raise TypeError(f"not a module expression: {e!r}")
+
+
+def _digits(l: int, p: int):
+    """Base-p digits of l, lowest first, for a prime p the caller has checked."""
+    while l:
+        l, d = divmod(l, p)
+        yield d
+
+
+def _steinberg(l: int, p: int) -> ModuleExpr:
+    """L(l) as the tensor product of V(d) over its nonzero base-p digits d."""
+    digits = [Atom("V", d) for d in _digits(l, p) if d]
+    return functools.reduce(Tensor, digits) if digits else Atom("V", 0)
+
+
+def _fill(e: ModuleExpr, p: int, out: np.ndarray) -> np.ndarray:
+    """Write the matrix of u on e (accepted by expr_dim) into the zeroed square
+    out; return out."""
+    if isinstance(e, (Dual, Twist)):
+        return _fill(e.inner, p, out)
     if isinstance(e, Atom) and e.kind == "L":
-        return _fill(_steinberg(e.weight, p, dims), p, out, dims)
+        return _fill(_steinberg(e.weight, p), p, out)
     if isinstance(e, Atom):  # Pascal(m) by Lucas' theorem, see pascal_matrix
         n = e.weight + 1
         D = out if n <= p else np.zeros((p, p), out.dtype)
@@ -483,77 +482,62 @@ def _fill(e: ModuleExpr, p: int, out: np.ndarray, dims: dict) -> np.ndarray:
             k = min(n, h * P.shape[0])
             P = _kron_lead(D[:h, :h], P, p, out if k == n else np.zeros((k, k), out.dtype))
         return out
-    k = dims[id(e.left)]
+    k = expr_dim(e.left, p)
     if isinstance(e, Sum):
-        _fill(e.left, p, out[:k, :k], dims)
-        _fill(e.right, p, out[k:, k:], dims)
+        _fill(e.left, p, out[:k, :k])
+        _fill(e.right, p, out[k:, k:])
         return out
     h = out.shape[0] // k
-    return _kron_lead(_fill(e.left, p, np.zeros((k, k), out.dtype), dims),
-                      _fill(e.right, p, np.zeros((h, h), out.dtype), dims), p, out)
+    return _kron_lead(_fill(e.left, p, np.zeros((k, k), out.dtype)),
+                      _fill(e.right, p, np.zeros((h, h), out.dtype)), p, out)
 
 
-def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> tuple[int, dict]:
+def _checked_dim(e: ModuleExpr, p: int, dim_cap: int) -> int:
     """Dimension of a T-free expression, after the prime and dimension-cap
-    checks, and that of every node of it by id."""
+    checks."""
     check_prime(p)
-    dims = {}
-    if (n := expr_dim(e, p, dims)) > dim_cap:
+    if (n := expr_dim(e, p)) > dim_cap:
         raise DimensionCapError(f"expression dimension {n} exceeds the oracle cap {dim_cap}")
-    return n, dims
+    return n
 
 
-def _canon(e: ModuleExpr, p: int, dims: dict) -> ModuleExpr:
-    """e with duals and twists stripped at every depth and each L atom written
-    as its digit tensor, the dimension of every new node recorded in dims:
-    two leaves with equal canonical forms have equal matrices."""
+def _plan(e: ModuleExpr, p: int):
+    """(node, dimension) of e, worked out bottom-up.  A node is a leaf (a
+    subexpression of at most _BLOCK rows, or a V atom) or (Sum or Tensor,
+    plan, plan), duals and twists stripped.  Above _BLOCK rows an L atom is
+    the tensor of its digits, and a V atom of n = qp + s >= p^2 rows,
+    0 <= s < p, is V(q - 1) (x) V(p - 1), whose Kronecker product is
+    Pascal(qp - 1) by Lucas' theorem, when s = 0, and (p, plan of V(qp - 1),
+    plan of V(s - 1)) when s > 0: see _type."""
     while isinstance(e, (Dual, Twist)):
         e = e.inner
     if isinstance(e, Atom):
-        return _steinberg(e.weight, p, dims) if e.kind == "L" else e
-    c = type(e)(_canon(e.left, p, dims), _canon(e.right, p, dims))
-    dims[id(c)] = dims[id(e)]
-    return c
-
-
-def _plan(e: ModuleExpr, p: int, dims: dict):
-    """e as a leaf (its canonical form when it has at most _BLOCK rows, or a
-    V atom) or as (Sum or Tensor, plan, plan), duals and twists stripped.
-    Above _BLOCK rows an L atom is the tensor of its digits, and a V atom of
-    n = qp + s >= p^2 rows, 0 <= s < p, is V(q - 1) (x) V(p - 1), whose
-    Kronecker product is Pascal(qp - 1) by Lucas' theorem, when s = 0, and
-    (p, plan of V(qp - 1), leaf V(s - 1)) when s > 0: see _type."""
-    while isinstance(e, (Dual, Twist)):
-        e = e.inner
-    if (n := dims[id(e)]) <= _BLOCK:
-        return _canon(e, p, dims)
-    if isinstance(e, Atom):
-        if e.kind == "V" and n < p * p:
-            return e
+        if (n := expr_dim(e, p)) <= _BLOCK or (e.kind == "V" and n < p * p):
+            return e, n
         if e.kind == "L":
-            return _plan(_steinberg(e.weight, p, dims), p, dims)
+            return _plan(_steinberg(e.weight, p), p)
         if s := n % p:
-            free, rest = Atom("V", n - s - 1), Atom("V", s - 1)
-            expr_dim(Sum(free, rest), p, dims)
-            return p, _plan(free, p, dims), rest
+            return (p, _plan(Atom("V", n - s - 1), p), (Atom("V", s - 1), s)), n
         e = Tensor(Atom("V", n // p - 1), Atom("V", p - 1))
-        expr_dim(e, p, dims)
-    return type(e), _plan(e.left, p, dims), _plan(e.right, p, dims)
+    a, b = _plan(e.left, p), _plan(e.right, p)
+    n = a[1] + b[1] if isinstance(e, Sum) else a[1] * b[1]
+    return (e if n <= _BLOCK else (type(e), a, b)), n
 
 
-def _type(node, types: dict, need: dict, dims: dict) -> collections.Counter | None:
-    """Jordan type {size: multiplicity} of a plan node from the known types of
+def _type(plan, types: dict, need: dict) -> collections.Counter | None:
+    """Jordan type {size: multiplicity} of a plan from the known types of
     leaves and of pairs (a, b), a <= b, that stand for kron(J_a, J_b); or
     None, with the missing ones put in need with their dimensions.  A node
     (p, U, V(s - 1)) is a V atom of qp + s rows, whose upper triangular Pascal
     matrix has diagonal blocks Pascal(qp - 1), U's, and (Lucas) Pascal(s - 1):
     a U of only size-p blocks is free over the self-injective K[x]/(x^p), so
     a direct summand, and the atom's type is the union of the two."""
+    node, n = plan
     if not isinstance(node, tuple):
         if (t := types.get(node)) is None:
-            need[node] = dims[id(node)]
+            need[node] = n
         return t
-    a, b = _type(node[1], types, need, dims), _type(node[2], types, need, dims)
+    a, b = _type(node[1], types, need), _type(node[2], types, need)
     if a is None or b is None:
         return None
     if node[0] is not Tensor:
@@ -572,30 +556,44 @@ def _type(node, types: dict, need: dict, dims: dict) -> collections.Counter | No
 def _block_ranks(e: ModuleExpr, p: int, dim_cap: int) -> tuple[list[int], np.dtype]:
     """rank_sequence of u on e, r_k = sum m max(s - k, 0) over the type of
     e's plan, and the kernel's dtype for e's dimension, which every block
-    uses.  The matrices each round needs are packed, in order, into blocks
-    of at most _BLOCK rows (a larger one is a block of its own, and e of at
-    most _BLOCK rows is one block)."""
-    n, dims = _checked_dim(e, p, dim_cap)
+    uses.  Each round builds the leaves and pairs the plan needs, and
+    eliminates each matrix not met before in the request once, keyed by its
+    bytes: equal matrices share one type, whatever made them.  These are
+    packed, in order, into blocks of at most _BLOCK rows (a larger one is a
+    block of its own, and e of at most _BLOCK rows is one block)."""
+    n = _checked_dim(e, p, dim_cap)
     dtype = np.dtype(_float_dtype(n, p))
-    root, types = (_plan(e, p, dims) if n > _BLOCK else e), {}  # one leaf shares nothing
-    while (t := _type(root, types, need := {}, dims)) is None:
-        blocks, size = [], _BLOCK
+    root = _plan(e, p) if n > _BLOCK else (e, n)  # one leaf shares nothing
+    types = {}  # the type of each leaf, pair and eliminated matrix's bytes
+    while (t := _type(root, types, need := {})) is None:
+        new = {}  # bytes of each new matrix -> (matrix, [bytes, keys that make it])
         for key, d in need.items():
-            if size + d > _BLOCK:
+            M = np.zeros((d, d), dtype)
+            if isinstance(key, tuple):  # kron(J_a, J_b)
+                J = [np.eye(k, dtype=dtype) + np.eye(k, k=1, dtype=dtype) for k in key]
+                _kron_lead(*J, p, M)
+            else:
+                _fill(key, p, M)
+            if (b := M.tobytes()) in types:
+                types[key] = types[b]
+            else:
+                new.setdefault(b, (M, [b]))[1].append(key)
+        blocks, size = [], _BLOCK
+        for M, keys in new.values():
+            if size + len(M) > _BLOCK:
                 blocks.append([])
                 size = 0
-            blocks[-1].append((key, d))
-            size += d
+            blocks[-1].append((M, keys))
+            size += len(M)
         for block in blocks:
-            cuts = list(itertools.accumulate(d for _, d in block))
-            N = np.zeros((cuts[-1],) * 2, dtype)
-            for (key, d), end in zip(block, cuts):
-                if isinstance(key, tuple):  # kron(J_a, J_b)
-                    J = [np.eye(k, dtype=dtype) + np.eye(k, k=1, dtype=dtype) for k in key]
-                    _kron_lead(*J, p, N[end - d:end, end - d:end])
-                else:
-                    _fill(key, p, N[end - d:end, end - d:end], dims)
-            types.update(zip((key for key, _ in block), map(_sizes, _ranks(N, p, cuts))))
+            cuts = list(itertools.accumulate(len(M) for M, _ in block))
+            N = block[0][0]  # a block of one member is its matrix
+            if len(block) > 1:
+                N = np.zeros((cuts[-1],) * 2, dtype)
+                for (M, _), end in zip(block, cuts):
+                    N[end - len(M):end, end - len(M):end] = M
+            for (_, keys), sizes in zip(block, map(_sizes, _ranks(N, p, cuts))):
+                types.update(dict.fromkeys(keys, sizes))
     return [sum(m * max(s - k, 0) for s, m in t.items()) for k in range(max(t) + 1)], dtype
 
 
@@ -606,8 +604,8 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
     twists and duals act as the identity on the matrix; both facts are
     property-tested rather than assumed silently.
     """
-    n, dims = _checked_dim(e, p, dim_cap)
-    return _trusted(_fill(e, p, np.zeros((n, n), dtype=np.int64), dims), p)
+    n = _checked_dim(e, p, dim_cap)
+    return _trusted(_fill(e, p, np.zeros((n, n), dtype=np.int64)), p)
 
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:

@@ -65,9 +65,8 @@ def float_matrix(e, p):
     """Matrix of u on a T-free expression, filled whole by _fill in the
     kernel's float type for its dimension."""
     import unipjordan.oracle as oracle_mod
-    dims = {}
-    n = expr_dim(e, p, dims)
-    return oracle_mod._fill(e, p, np.zeros((n, n), oracle_mod._float_dtype(n, p)), dims)
+    n = expr_dim(e, p)
+    return oracle_mod._fill(e, p, np.zeros((n, n), oracle_mod._float_dtype(n, p)))
 
 
 def small_trees(seed, count, max_dim):
@@ -179,6 +178,9 @@ PLANNED = [(parse_expr(text), p) for text, p in (
     # a free part plus V(1)
     ("V(1599)", 3), ("V(1151)", 5), ("V(1023)", 7), ("V(639)", 3),
     ("V(168)", 13), ("V(170)", 13),
+    # the leaves V(3) and V(1)*V(1) and the pair kron(J_2, J_2) at p = 2
+    # are one matrix under three names
+    ("V(3)*V(40)+V(1)*V(1)*V(40)", 2), ("V(1)*V(1)*V(40)+V(3)*V(41)", 2),
 )]
 
 
@@ -535,46 +537,49 @@ class TestOracleEval:
         B = oracle_mod._BLOCK
         cases = [(e, p, oracle_mod._ranks(float_matrix(e, p), p, [expr_dim(e, p)])[0])
                  for e, p in block_trees(31, 240, B) + float64_trees(32, 8) + PLANNED]
-        fill, ranks = oracle_mod._fill, oracle_mod._ranks
-        leaves, pairs, filled, blocks, dtypes, depth = [], [], [], [], [], []
+        fill, ranks, kron_lead = oracle_mod._fill, oracle_mod._ranks, oracle_mod._kron_lead
+        leaves, pairs, members, filled, blocks, dtypes, depth = [], [], [], [], [], [], []
 
-        def spy_fill(e, p, out, dims):
+        def spy_fill(e, p, out):
             filled.append(out.shape[0])
+            if not depth:  # a leaf, not a node inside one
+                leaves.append(e)
             depth.append(e)
             try:
-                return fill(e, p, out, dims)
+                return fill(e, p, out)
             finally:
                 depth.pop()
-                if not depth:  # a leaf, not a node inside one
-                    leaves.append((out.shape[0], out.tobytes()))
+
+        def spy_kron(x, y, p, out):
+            if not depth:  # a pair kron(J_a, J_b), not a tensor inside a leaf
+                pairs.append(out.shape[0])
+            return kron_lead(x, y, p, out)
 
         def spy_ranks(N, p, cuts):
             dtypes.append(N.dtype.name)
             blocks.append(N.shape[0])
-            if len(leaves) == ranked[0]:
-                # no leaf filled since the last block: a block of pairs
-                # kron(J_a, J_b), each a diagonal block of N
-                pairs.extend(N[a:b, a:b].tobytes() for a, b in zip([0] + cuts[:-1], cuts))
-            ranked[0] = len(leaves)
+            # each member, leaf or pair, is a diagonal block of N
+            members.extend(N[a:b, a:b].tobytes() for a, b in zip([0] + cuts[:-1], cuts))
             return ranks(N, p, cuts)
 
         monkeypatch.setattr(oracle_mod, "_fill", spy_fill)
+        monkeypatch.setattr(oracle_mod, "_kron_lead", spy_kron)
         monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
         seen = set()
         for e, p, want in cases:
-            for log in (leaves, pairs, filled, blocks, dtypes):
+            for log in (leaves, pairs, members, filled, blocks, dtypes):
                 log.clear()
-            ranked = [0]  # leaves filled before the last block was ranked
             n = want[0]
             cert = oracle_certificate(e, p)
             assert cert["ranks"] == want, (render_expr(e), p)
             assert cert["dtype"] == np.dtype(oracle_mod._float_dtype(n, p)).name
             # every block runs in the dtype of the whole dimension
             assert dtypes and all(d == cert["dtype"] for d in dtypes)
-            # each distinct leaf and pair matrix is built once, and no
-            # matrix is larger than the block width or p^2
+            # no leaf expression is filled twice, the members eliminated in
+            # one request are distinct matrices, leaves and pairs together,
+            # and no matrix is larger than the block width or p^2
             assert len(set(leaves)) == len(leaves), (render_expr(e), p)
-            assert len(set(pairs)) == len(pairs), (render_expr(e), p)
+            assert len(set(members)) == len(members), (render_expr(e), p)
             assert max(filled + blocks) <= max(B, p * p), (render_expr(e), p)
             if n <= B:
                 assert blocks == [n]
@@ -583,8 +588,10 @@ class TestOracleEval:
                 seen.add("planned" if len(blocks) > 1 else "one leaf")
                 seen |= {"pairs"} if pairs else set()
                 seen |= {"repeated leaf"} if len(leaves) < leaf_count(e, B, p) else set()
+                seen |= {"equal matrices"} if len(members) < len(leaves) + len(pairs) else set()
             seen |= sum_places(e) | {f"dim {n}", cert["dtype"]}
         assert seen >= {"planned", "one leaf", "one block", "pairs", "repeated leaf",
+                        "equal matrices",
                         "dim 127", "dim 128",
                         "dim 129",
                         "float32", "float64",
@@ -619,9 +626,9 @@ class TestOracleEval:
         rows = []
         fill, ranks = oracle_mod._fill, oracle_mod._ranks
 
-        def spy_fill(e, p, out, dims):
+        def spy_fill(e, p, out):
             rows.append(out.shape[0])
-            return fill(e, p, out, dims)
+            return fill(e, p, out)
 
         def spy_ranks(N, p, cuts):
             rows.append(N.shape[0])
@@ -650,17 +657,19 @@ class TestOracleEval:
             return ranks(N, p, cuts)
 
         monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
-        V12 = (Tensor, Atom("V", 12), Atom("V", 12))
+
+        def V(m):  # a leaf's plan: the atom and its dimension
+            return Atom("V", m), m + 1
+
+        V12 = (Tensor, V(12), V(12)), 169
         for text, p, plan, largest in (
-                ("V(142)", 11, (Tensor, Atom("V", 12), Atom("V", 10)), 121),  # 143 = 13 * 11
-                ("V(155)", 13, Atom("V", 155), 156),  # 156 = 12 * 13
-                ("V(167)", 13, Atom("V", 167), 168),  # 168 = 12 * 13 + 12
+                ("V(142)", 11, ((Tensor, V(12), V(10)), 143), 121),  # 143 = 13 * 11
+                ("V(155)", 13, V(155), 156),  # 156 = 12 * 13
+                ("V(167)", 13, V(167), 168),  # 168 = 12 * 13 + 12
                 ("V(168)", 13, V12, 169),  # 169 = 13 * 13
-                ("V(170)", 13, (13, V12, Atom("V", 1)), 169)):  # 171 = 13 * 13 + 2
+                ("V(170)", 13, ((13, V12, V(1)), 171), 169)):  # 171 = 13 * 13 + 2
             e = parse_expr(text)
-            dims = {}
-            expr_dim(e, p, dims)
-            assert oracle_mod._plan(e, p, dims) == plan
+            assert oracle_mod._plan(e, p) == plan
             blocks.clear()
             assert oracle_eval(e, p) == eval_expr(e, p).jordan
             assert max(blocks) == largest, text

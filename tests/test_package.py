@@ -157,3 +157,33 @@ def test_public_names_resolve_to_their_modules():
         assert vars(unipjordan)[name] is getattr(home, name)  # cached on first use
     with pytest.raises(AttributeError):
         unipjordan.no_such_name
+
+
+# the oracle on a tensor, a V atom split by Lucas' theorem and an L atom;
+# the last line lists the package's loaded modules
+ORACLE_CASES = [("V(20)*V(30)", 5), ("V(1599)", 3), ("L(124)", 5)]
+ORACLE_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from unipjordan.expr import parse_expr
+from unipjordan.oracle import oracle_certificate, oracle_eval
+for text, p in json.loads(sys.argv[2]):
+    e = parse_expr(text)
+    print(oracle_eval(e, p), json.dumps(oracle_certificate(e, p)["jordan"]))
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "unipjordan"))
+"""
+
+
+def test_oracle_does_not_load_the_closed_forms():
+    # the oracle is the independent check on the closed forms, so it must
+    # answer without loading them
+    from unipjordan.expr import parse_expr
+    from unipjordan.sl2 import eval_expr
+    proc = subprocess.run([sys.executable, "-c", ORACLE_SCRIPT, SRC, json.dumps(ORACLE_CASES)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *answers, modules = proc.stdout.strip().splitlines()
+    want = [eval_expr(parse_expr(text), p).jordan for text, p in ORACLE_CASES]
+    assert answers == [f"{j} {json.dumps(j.as_pairs())}" for j in want]
+    assert set(modules.split()) & {f"unipjordan.{m}" for m in (
+        "sl2", "characters", "extclassify", "classtables", "rootdata", "distinguished")} == set()
