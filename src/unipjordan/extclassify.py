@@ -88,22 +88,17 @@ class ExtVerdict:
 
 
 def _weyl_twist_params(lam: int, mu: int, p: int) -> Optional[tuple[int, int]]:
-    """(c, l) with lam = c p^l, mu = (2p-2-c) p^l, p <= c <= 2p-2, if any."""
+    """(c, l) with lam = c p^l, mu = (2p-2-c) p^l, p <= c <= 2p-2, if any.
+
+    Every c in [p, 2p-2] but c = p is prime to p, so l = nu_p(lam), or
+    nu_p(lam) - 1 with c = p when lam is a power of p."""
     if lam <= 0:
         return None
-    l = 0
-    scale = 1
-    while scale <= lam:
-        if lam % scale:
-            break
-        c = lam // scale
-        if p <= c <= 2 * p - 2 and mu == (2 * p - 2 - c) * scale:
-            return c, l
-        if c < p:
-            break
-        l += 1
-        scale *= p
-    return None
+    l = nu_p(lam, p)
+    c = lam // p ** l
+    if c == 1 and l:
+        c, l = p, l - 1
+    return (c, l) if p <= c <= 2 * p - 2 and mu == (2 * p - 2 - c) * p ** l else None
 
 
 def nonsplit_ext_classify(lam: int, mu: int, p: int) -> ExtVerdict:

@@ -32,13 +32,12 @@ atom is the tensor of its digit atoms, and a V atom of qp + s >= p^2
 rows, s < p, is V(q - 1) (x) V(p - 1) by Lucas' theorem plus the leaf
 V(s - 1), once the first part's computed type shows it free (see
 _type).  Rounds of elimination type the leaves, then the pairs
-kron(J_a, J_b) the tensors ask for.  Each distinct matrix is eliminated
-once per request, keyed by its bytes, so V(3), the leaf V(1)*V(1) and
-the pair kron(J_2, J_2) at p = 2 share one elimination.  A round packs
-its new matrices into diagonal blocks of at most _BLOCK rows: one
-elimination of a block gives each member's ranks, its pivot columns in
-the member's range.  A pair (1, b) is not built: kron(J_1, J_b) is
-the matrix J_b itself.
+kron(J_a, J_b) the tensors ask for, each leaf expression and each pair
+once per request.  A round packs them into diagonal blocks of at most
+_BLOCK rows and builds each in place, in its block: one elimination of
+a block gives each member's ranks, its pivot columns in the member's
+range.  A pair (1, b) is not built: kron(J_1, J_b) is the matrix J_b
+itself.
 """
 
 from __future__ import annotations
@@ -556,44 +555,34 @@ def _type(plan, types: dict, need: dict) -> collections.Counter | None:
 def _block_ranks(e: ModuleExpr, p: int, dim_cap: int) -> tuple[list[int], np.dtype]:
     """rank_sequence of u on e, r_k = sum m max(s - k, 0) over the type of
     e's plan, and the kernel's dtype for e's dimension, which every block
-    uses.  Each round builds the leaves and pairs the plan needs, and
-    eliminates each matrix not met before in the request once, keyed by its
-    bytes: equal matrices share one type, whatever made them.  These are
-    packed, in order, into blocks of at most _BLOCK rows (a larger one is a
-    block of its own, and e of at most _BLOCK rows is one block)."""
+    uses.  Each round packs the leaves and pairs the plan needs, in order,
+    into blocks of at most _BLOCK rows (a larger one is a block of its
+    own), writes each into its diagonal view of the block's zeroed array,
+    and eliminates the block once.  Types are keyed by leaf expression and
+    pair, so each is built once per request."""
     n = _checked_dim(e, p, dim_cap)
     dtype = np.dtype(_float_dtype(n, p))
-    root = _plan(e, p) if n > _BLOCK else (e, n)  # one leaf shares nothing
-    types = {}  # the type of each leaf, pair and eliminated matrix's bytes
+    root = _plan(e, p)
+    types = {}  # the type of each leaf and pair
     while (t := _type(root, types, need := {})) is None:
-        new = {}  # bytes of each new matrix -> (matrix, [bytes, keys that make it])
-        for key, d in need.items():
-            M = np.zeros((d, d), dtype)
-            if isinstance(key, tuple):  # kron(J_a, J_b)
-                J = [np.eye(k, dtype=dtype) + np.eye(k, k=1, dtype=dtype) for k in key]
-                _kron_lead(*J, p, M)
-            else:
-                _fill(key, p, M)
-            if (b := M.tobytes()) in types:
-                types[key] = types[b]
-            else:
-                new.setdefault(b, (M, [b]))[1].append(key)
         blocks, size = [], _BLOCK
-        for M, keys in new.values():
-            if size + len(M) > _BLOCK:
+        for key, d in need.items():
+            if size + d > _BLOCK:
                 blocks.append([])
                 size = 0
-            blocks[-1].append((M, keys))
-            size += len(M)
+            blocks[-1].append(key)
+            size += d
         for block in blocks:
-            cuts = list(itertools.accumulate(len(M) for M, _ in block))
-            N = block[0][0]  # a block of one member is its matrix
-            if len(block) > 1:
-                N = np.zeros((cuts[-1],) * 2, dtype)
-                for (M, _), end in zip(block, cuts):
-                    N[end - len(M):end, end - len(M):end] = M
-            for (_, keys), sizes in zip(block, map(_sizes, _ranks(N, p, cuts))):
-                types.update(dict.fromkeys(keys, sizes))
+            cuts = list(itertools.accumulate(need[key] for key in block))
+            N = np.zeros((cuts[-1],) * 2, dtype)
+            for key, end in zip(block, cuts):
+                M = N[end - need[key]:end, end - need[key]:end]
+                if isinstance(key, tuple):  # kron(J_a, J_b)
+                    J = [np.eye(k, dtype=dtype) + np.eye(k, k=1, dtype=dtype) for k in key]
+                    _kron_lead(*J, p, M)
+                else:
+                    _fill(key, p, M)
+            types.update(zip(block, map(_sizes, _ranks(N, p, cuts))))
     return [sum(m * max(s - k, 0) for s, m in t.items()) for k in range(max(t) + 1)], dtype
 
 

@@ -68,6 +68,17 @@ class TestNonsplitClassify:
         v = nonsplit_ext_classify(30, 10, 5)
         assert v.kind == "WeylTwist" and (v.c, v.l) == (6, 1)
 
+    def test_every_twisted_weyl_pair(self):
+        # every c in [p, 2p-2] and twist l, c = p included: there lam = p^(l+1)
+        for p in (2, 3, 5, 7):
+            for l in range(4):
+                for c in range(p, 2 * p - 1):
+                    lam, mu = c * p ** l, (2 * p - 2 - c) * p ** l
+                    v = nonsplit_ext_classify(lam, mu, p)
+                    assert (v.kind, v.c, v.l) == ("WeylTwist", c, l), (lam, mu, p)
+                    v = nonsplit_ext_classify(mu, lam, p)
+                    assert (v.kind, v.c, v.l) == ("DualWeylTwist", c, l), (mu, lam, p)
+
     def test_no_extension(self):
         assert nonsplit_ext_classify(3, 3, 5).kind == "NoExtension"
         assert nonsplit_ext_classify(0, 4, 5).kind == "NoExtension"

@@ -538,12 +538,14 @@ class TestOracleEval:
         cases = [(e, p, oracle_mod._ranks(float_matrix(e, p), p, [expr_dim(e, p)])[0])
                  for e, p in block_trees(31, 240, B) + float64_trees(32, 8) + PLANNED]
         fill, ranks, kron_lead = oracle_mod._fill, oracle_mod._ranks, oracle_mod._kron_lead
-        leaves, pairs, members, filled, blocks, dtypes, depth = [], [], [], [], [], [], []
+        leaves, pairs, built, filled, blocks, dtypes, depth = [], [], [], [], [], [], []
+        in_place = []  # does each member built share memory with its block?
 
         def spy_fill(e, p, out):
             filled.append(out.shape[0])
             if not depth:  # a leaf, not a node inside one
                 leaves.append(e)
+                built.append(out)
             depth.append(e)
             try:
                 return fill(e, p, out)
@@ -552,14 +554,16 @@ class TestOracleEval:
 
         def spy_kron(x, y, p, out):
             if not depth:  # a pair kron(J_a, J_b), not a tensor inside a leaf
-                pairs.append(out.shape[0])
+                pairs.append((x.shape[0], y.shape[0]))
+                built.append(out)
             return kron_lead(x, y, p, out)
 
         def spy_ranks(N, p, cuts):
             dtypes.append(N.dtype.name)
             blocks.append(N.shape[0])
-            # each member, leaf or pair, is a diagonal block of N
-            members.extend(N[a:b, a:b].tobytes() for a, b in zip([0] + cuts[:-1], cuts))
+            # each member, leaf or pair, is written straight into N
+            in_place.extend(np.shares_memory(M, N) for M in built)
+            built.clear()
             return ranks(N, p, cuts)
 
         monkeypatch.setattr(oracle_mod, "_fill", spy_fill)
@@ -567,7 +571,7 @@ class TestOracleEval:
         monkeypatch.setattr(oracle_mod, "_ranks", spy_ranks)
         seen = set()
         for e, p, want in cases:
-            for log in (leaves, pairs, members, filled, blocks, dtypes):
+            for log in (leaves, pairs, built, filled, blocks, dtypes, in_place):
                 log.clear()
             n = want[0]
             cert = oracle_certificate(e, p)
@@ -575,11 +579,12 @@ class TestOracleEval:
             assert cert["dtype"] == np.dtype(oracle_mod._float_dtype(n, p)).name
             # every block runs in the dtype of the whole dimension
             assert dtypes and all(d == cert["dtype"] for d in dtypes)
-            # no leaf expression is filled twice, the members eliminated in
-            # one request are distinct matrices, leaves and pairs together,
-            # and no matrix is larger than the block width or p^2
+            # no leaf expression and no pair is built twice in one request,
+            # each is built in its block, and no matrix is larger than the
+            # block width or p^2
             assert len(set(leaves)) == len(leaves), (render_expr(e), p)
-            assert len(set(members)) == len(members), (render_expr(e), p)
+            assert len(set(pairs)) == len(pairs), (render_expr(e), p)
+            assert in_place and all(in_place) and not built, (render_expr(e), p)
             assert max(filled + blocks) <= max(B, p * p), (render_expr(e), p)
             if n <= B:
                 assert blocks == [n]
@@ -588,10 +593,8 @@ class TestOracleEval:
                 seen.add("planned" if len(blocks) > 1 else "one leaf")
                 seen |= {"pairs"} if pairs else set()
                 seen |= {"repeated leaf"} if len(leaves) < leaf_count(e, B, p) else set()
-                seen |= {"equal matrices"} if len(members) < len(leaves) + len(pairs) else set()
             seen |= sum_places(e) | {f"dim {n}", cert["dtype"]}
         assert seen >= {"planned", "one leaf", "one block", "pairs", "repeated leaf",
-                        "equal matrices",
                         "dim 127", "dim 128",
                         "dim 129",
                         "float32", "float64",
