@@ -217,16 +217,20 @@ class DigitVector:
         return self.digits[i] if 0 <= i < len(self.digits) else 0
 
 
+def digits(n: int, p: int):
+    """Base-p digits of n >= 0, lowest first, for a prime p the caller has
+    checked; none for n = 0."""
+    while n:
+        n, d = divmod(n, p)
+        yield d
+
+
 def base_p_digits(n: int, p: int) -> DigitVector:
     """Canonical base-p digits of a non-negative integer."""
     check_prime(p)
     if n < 0:
         raise DomainError(f"weight must be non-negative, got {n}")
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return DigitVector(tuple(digits), p)
+    return DigitVector(tuple(digits(n, p)), p)
 
 
 def nu_p(n: int, p: int) -> int:

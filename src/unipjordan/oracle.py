@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DIM_CAP, DomainError, JordanType, check_prime
+from .core import DEFAULT_DIM_CAP, DomainError, JordanType, check_prime, digits
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist, render_expr
 
 _BLOCK = 128
@@ -66,9 +66,9 @@ class DimensionCapError(DomainError):
     """Expression dimension exceeds the configured oracle cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpMatrix:
-    """Dense matrix over GF(p); entries are int64 residues in [0, p)."""
+    """Dense matrix over GF(p) of int64 residues in [0, p); compared by identity."""
 
     array: np.ndarray
     p: int
@@ -94,15 +94,8 @@ class FpMatrix:
         return self.array.shape[1]
 
 
-def _trusted(array: np.ndarray, p: int) -> FpMatrix:
-    """FpMatrix of a builder result, whose entries are residues by construction."""
-    M = object.__new__(FpMatrix)
-    M.__dict__.update(array=array, p=p)
-    return M
-
-
 def identity_matrix(n: int, p: int) -> FpMatrix:
-    return _trusted(np.eye(n, dtype=np.int64), check_prime(p))
+    return FpMatrix(np.eye(n, dtype=np.int64), p)
 
 
 def pascal_matrix(m: int, p: int) -> FpMatrix:
@@ -116,7 +109,7 @@ def pascal_matrix(m: int, p: int) -> FpMatrix:
     only the p x p digit block is summed row by row.
     """
     e = Atom("V", m)  # refuses m < 0
-    return _trusted(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64)), p)
+    return FpMatrix(_fill(e, check_prime(p), np.zeros((m + 1, m + 1), dtype=np.int64)), p)
 
 
 def _kron_lead(x: np.ndarray, y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -144,7 +137,7 @@ def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     if a.p != b.p:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
     out = np.zeros((a.rows * b.rows, a.cols * b.cols), dtype=np.int64)
-    return _trusted(_kron_lead(a.array, b.array, a.p, out), a.p)
+    return FpMatrix(_kron_lead(a.array, b.array, a.p, out), a.p)
 
 
 def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -153,7 +146,7 @@ def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
         raise DomainError(f"mismatched characteristics {a.p} != {b.p}")
     out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)
     out[:a.rows, :a.cols], out[a.rows:, a.cols:] = a.array, b.array
-    return _trusted(out, a.p)
+    return FpMatrix(out, a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +171,7 @@ def _float_dtype(n: int, p: int):
         return np.float32
     if bound < 2 ** 50:
         return np.float64
-    raise DomainError(f"characteristic {p} too large for exact float elimination")
+    raise DomainError(f"dimension {n} too large for exact float elimination over GF({p})")
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -440,7 +433,7 @@ def expr_dim(e: ModuleExpr, p: int) -> int:
     if isinstance(e, Atom):
         if e.kind not in ("L", "V"):
             raise DomainError("tilting atoms have no oracle matrix model")
-        return e.weight + 1 if e.kind == "V" else math.prod(d + 1 for d in _digits(e.weight, p))
+        return e.weight + 1 if e.kind == "V" else math.prod(d + 1 for d in digits(e.weight, p))
     if isinstance(e, (Dual, Twist)):
         return expr_dim(e.inner, p)
     if isinstance(e, (Sum, Tensor)):
@@ -449,17 +442,10 @@ def expr_dim(e: ModuleExpr, p: int) -> int:
     raise TypeError(f"not a module expression: {e!r}")
 
 
-def _digits(l: int, p: int):
-    """Base-p digits of l, lowest first, for a prime p the caller has checked."""
-    while l:
-        l, d = divmod(l, p)
-        yield d
-
-
 def _steinberg(l: int, p: int) -> ModuleExpr:
     """L(l) as the tensor product of V(d) over its nonzero base-p digits d."""
-    digits = [Atom("V", d) for d in _digits(l, p) if d]
-    return functools.reduce(Tensor, digits) if digits else Atom("V", 0)
+    atoms = [Atom("V", d) for d in digits(l, p) if d]
+    return functools.reduce(Tensor, atoms) if atoms else Atom("V", 0)
 
 
 def _fill(e: ModuleExpr, p: int, out: np.ndarray) -> np.ndarray:
@@ -594,7 +580,7 @@ def expr_matrix(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> FpMatr
     property-tested rather than assumed silently.
     """
     n = _checked_dim(e, p, dim_cap)
-    return _trusted(_fill(e, p, np.zeros((n, n), dtype=np.int64)), p)
+    return FpMatrix(_fill(e, p, np.zeros((n, n), dtype=np.int64)), p)
 
 
 def oracle_eval(e: ModuleExpr, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> JordanType:

@@ -41,7 +41,7 @@ from .characters import (
     char_twist,
     weyl_character,
 )
-from .core import DomainError, JordanType, base_p_digits, check_prime
+from .core import DomainError, JordanType, check_prime, digits
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist
 
 
@@ -95,18 +95,16 @@ def irrep_jordan(lam: int, p: int) -> JordanType:
     irreducibles given by the base-p digits; twists leave Jordan types
     unchanged, so the type is the tensor fold of J_{digit+1}.
     """
-    check_prime(p)
-    if lam < 0:
-        raise DomainError(f"weight must be non-negative, got {lam}")
+    _weight(lam, p)
     return JordanType.from_blocks(_irrep(lam, p)[1].items(), p)
 
 
 def irrep_char(lam: int, p: int) -> Character:
     """Character of the irreducible of highest weight lambda, via the
     digit factorization (twists scale weights by p^i)."""
-    digits = base_p_digits(lam, p)
+    _weight(lam, p)
     ch = weyl_character(0)
-    for i, d in enumerate(digits.digits):
+    for i, d in enumerate(digits(lam, p)):
         if d:
             factor = weyl_character(d)
             if i:
@@ -143,6 +141,12 @@ def tilting_jordan(c: int, p: int) -> JordanType:
     (c <= p-1); free of rank dim/p otherwise."""
     _dominant(c, p)
     return JordanType.from_blocks(_tilting(c, p)[1].items(), p)
+
+
+def _weight(lam: int, p: int) -> None:
+    check_prime(p)
+    if lam < 0:
+        raise DomainError(f"weight must be non-negative, got {lam}")
 
 
 def _dominant(m: int, p: int) -> None:
@@ -208,8 +212,7 @@ def _weyl_blocks(m: int, p: int) -> dict[int, int]:
 def _irrep(lam: int, p: int) -> tuple[int, dict[int, int]]:
     """Dimension and blocks of L(lam), folded over its base-p digits."""
     dim, blocks = 1, {1: 1}
-    while lam:
-        lam, d = divmod(lam, p)
+    for d in digits(lam, p):
         if d:
             dim *= d + 1
             blocks = _tensor_blocks(blocks, {d + 1: 1}, p)

@@ -40,6 +40,16 @@ def test_jordan_oracle_verified(capsys):
     assert code == 0 and out.splitlines()[0] == "5^5 1"
 
 
+def test_jordan_oracle_mismatch_exits_one(capsys, monkeypatch):
+    import unipjordan.oracle
+    monkeypatch.setattr(unipjordan.oracle, "oracle_eval",
+                        lambda e, p, cap: parse_partition("11", p))
+    code, out, err = run(capsys, "jordan", "-p", "5", "--oracle", "V(10)")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("oracle mismatch: closed form 5^2 1, oracle ")
+
+
 def test_jordan_oracle_rejects_tilting_atoms(capsys):
     code, _, err = run(capsys, "jordan", "-p", "5", "--oracle", "T(6)")
     assert code == 1 and "error" in err

@@ -47,6 +47,8 @@ def test_prime_validation():
     with pytest.raises(DomainError) as err:
         check_prime(PRIME_LIMIT + 2)
     assert "\n" not in str(err.value)
+    with pytest.raises(DomainError, match="only below"):
+        is_prime(PRIME_LIMIT)
 
 
 def test_jordan_type_canonical_form():
@@ -140,6 +142,10 @@ def test_character_symmetry_enforced():
         Character.from_dict({1: 1})
     with pytest.raises(DomainError):
         Character.from_dict({2: 1, -2: 2})
+    for items, why in [([(0, 1), (0, 1)], "duplicate"), ([(0, 0)], "positive"),
+                       ([(1, 1), (-1, 1)], "not sorted")]:
+        with pytest.raises(DomainError, match=why):
+            Character(items)
     ch = Character.from_dict({2: 1, -2: 1, 0: 3})
     assert ch.dim == 5
     assert ch.multiplicity(0) == 3 and ch.multiplicity(4) == 0

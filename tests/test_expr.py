@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import rand_expr
+from unipjordan.core import DomainError
 from unipjordan.expr import (
     MAX_DEPTH,
     Atom,
@@ -54,6 +55,10 @@ def test_parse_errors_carry_positions():
 def test_twist_zero_rejected():
     with pytest.raises(ParseError):
         parse_expr("L(1)[0]")
+    with pytest.raises(DomainError, match="twist exponent"):
+        Twist(Atom("V", 1), 0)
+    with pytest.raises(DomainError, match="unknown atom kind"):
+        Atom("X", 1)
 
 
 def test_worked_decomposition_parses_to_eight_summands():

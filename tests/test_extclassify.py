@@ -126,6 +126,8 @@ class TestEnumerate:
     def test_rejects_two_full_blocks(self):
         with pytest.raises(DomainError):
             enumerate_indecomposables(parse_partition("2^2", 2), 2)
+        with pytest.raises(DomainError, match="characteristic 3, not 5"):
+            enumerate_indecomposables(parse_partition("2", 3), 5)
 
     def test_completeness_for_atoms_at_desk_scale(self):
         # every twisted/dualized L- or V-atom of dimension <= 64 whose
@@ -242,6 +244,8 @@ class TestSemisimplicity:
     def test_oversized_blocks_rejected(self):
         with pytest.raises(DomainError):
             semisimplicity_verdict(parse_partition("9 3", 3), True, 3)
+        with pytest.raises(DomainError, match="characteristic 3, not 5"):
+            semisimplicity_verdict(parse_partition("2", 3), True, 5)
 
 
 def test_neighbors_reach_below_a_small_bound_from_large_weights():

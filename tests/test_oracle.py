@@ -218,6 +218,15 @@ class TestFpMatrix:
             FpMatrix(np.array([[-1]], dtype=np.int64), 5)
         with pytest.raises(DomainError):
             FpMatrix(np.array([1, 2], dtype=np.int64), 5)
+        with pytest.raises(DomainError, match="int64, got float64"):
+            FpMatrix(np.eye(2), 5)
+
+    def test_compared_and_hashed_by_identity(self):
+        # the numpy field would make generated __eq__ and __hash__ raise
+        M, twin = pascal_matrix(3, 5), pascal_matrix(3, 5)
+        assert M == M and M != twin and (M == twin) is False
+        assert np.array_equal(M.array, twin.array)
+        assert {M} == {M} and len({M, twin}) == 2
 
     def test_non_array_refused(self):
         for a in ([[1, 0], [0, 1]], ((1,),), 7):
@@ -225,7 +234,7 @@ class TestFpMatrix:
                 FpMatrix(a, 5)
 
     def test_builder_outputs_pass_the_public_check(self):
-        # builders skip the entry scan; their results must still pass it
+        # every builder returns int64 residues through FpMatrix's own check
         for e, p in small_trees(20, 100, 300):
             M = expr_matrix(e, p)
             parts = [M, pascal_matrix(expr_dim(e, p) - 1, p), identity_matrix(3, p)]
@@ -350,6 +359,7 @@ class TestRank:
         for M in ([[1, 2], [3]], [[1], [2, 3], []]):
             with pytest.raises(DomainError, match="same length"):
                 rank_mod_p(M, 5)
+        assert rank_mod_p(np.zeros((0, 3), dtype=np.int64), 5) == 0
 
 
 class TestPackedRanks:
@@ -760,6 +770,26 @@ class TestOracleEval:
 
 
 class TestCertificate:
+    def test_verify_corpus_hash(self, monkeypatch):
+        # the certificates of the first 400 requests of the verify workload
+        # at seeds 5, 7 and 11, as bench/workloads.py makes them
+        import hashlib
+        import importlib.util
+        import itertools
+        import json
+        import pathlib
+        import sys
+        path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        certs = [oracle_certificate(parse_expr(r.args[0]), r.p) for seed in (5, 7, 11)
+                 for r in itertools.islice(workloads.verify_stream(seed), 400)]
+        assert hashlib.sha256(json.dumps(certs).encode()).hexdigest() == \
+            "7c01aaaa457fa11b300b28b995097ab874f7c19e9f70d91a38af0ae3bc523f2f"
+
     def test_structure(self):
         cert = oracle_certificate(parse_expr("V(10)"), 5)
         assert cert["expr"] == "V(10)"
@@ -816,7 +846,7 @@ class TestFallbackPaths:
 
     def test_absurd_characteristic_rejected(self):
         import unipjordan.oracle as oracle_mod
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"dimension 4096 .* GF\(1000000000\)"):
             oracle_mod._float_dtype(4096, 10 ** 9)
 
     def test_dtype_switch_at_its_edge(self):

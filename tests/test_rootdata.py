@@ -265,6 +265,7 @@ def test_module_dimension_tags():
     assert module_dimension("E", 7, "minimal") == 56
     assert module_dimension("B", 3, "natural") == 7
     assert module_dimension("C", 4, "natural") == 8
+    assert module_dimension("A", 3, "natural") == 4
     with pytest.raises(DomainError):
         module_dimension("E", 6, "natural")
     with pytest.raises(DomainError):

@@ -143,6 +143,10 @@ class TestRefusals:
                      id="irrep-negative"),
         pytest.param(lambda: irrep_jordan(3, 4), "characteristic must be a prime, got 4",
                      id="irrep-composite"),
+        pytest.param(lambda: irrep_char(-1, 5), "weight must be non-negative, got -1",
+                     id="irrep-char-negative"),
+        pytest.param(lambda: irrep_char(3, 4), "characteristic must be a prime, got 4",
+                     id="irrep-char-composite"),
         pytest.param(lambda: tilting_jordan(-1, 5), "dominant weight must be >= 0, got -1",
                      id="tilting-negative"),
         pytest.param(lambda: tilting_jordan(3, 4), "characteristic must be a prime, got 4",
