@@ -12,38 +12,41 @@ are exactly the twisted Weyl modules and their duals.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
-from .core import DomainError, JordanType, base_p_digits, check_prime, nu_p
+from .core import DomainError, JordanType, check_prime, digits, nu_p
 from .expr import Atom, Dual, ModuleExpr, Sum, Tensor, Twist
 from .sl2 import eval_expr, irrep_jordan, weyl_jordan
 
 
+def _rewrites(lam: int, p: int, bound: int):
+    """Every mu <= bound that the digit rewrite reaches from lam: at one
+    position k with lam_k != p-1 (so k >= nu_p(lam+1)), mu_k = p-2-lam_k
+    and mu_{k+1} = lam_{k+1} +- 1, all other digits equal.  Once p^k
+    exceeds lam and bound, the one rewrite left adds more than bound."""
+    ds = chain(digits(lam, p), repeat(0))
+    d, pk = next(ds), 1
+    while pk <= max(lam, bound):
+        up = next(ds)
+        if d != p - 1:
+            base = lam + (p - 2 - 2 * d) * pk
+            for step in (-1, 1):
+                mu = base + step * pk * p
+                if 0 <= up + step < p and mu <= bound:
+                    yield mu
+        d, pk = up, pk * p
+
+
 def ext1_nonzero(lam: int, mu: int, p: int) -> bool:
     """Whether Ext^1 between the irreducibles of highest weights lam and
-    mu is nonzero (in which case it is one-dimensional).
-
-    The digit scan for k runs over [nu_p(lam+1), max digit length + 1];
-    beyond that window both digit vectors are zero, where the rewrite
-    condition is unsatisfiable against equal remaining digits.
-    """
+    mu is nonzero (in which case it is one-dimensional)."""
     check_prime(p)
     if lam < 0 or mu < 0:
         raise DomainError("weights must be non-negative")
-    ld = base_p_digits(lam, p)
-    md = base_p_digits(mu, p)
-    top = max(len(ld), len(md)) + 1
-    for k in range(nu_p(lam + 1, p), top + 1):
-        if ld[k] == p - 1:
-            continue  # p-2-lambda_k would be negative
-        if md[k] != p - 2 - ld[k]:
-            continue
-        if md[k + 1] not in (ld[k + 1] - 1, ld[k + 1] + 1):
-            continue  # out-of-range +-1 candidates can never match a digit
-        if all(md[i] == ld[i] for i in range(top + 2) if i not in (k, k + 1)):
-            return True
-    return False
+    return mu in _rewrites(lam, p, max(lam, mu))
 
 
 def ext1_neighbors(lam: int, p: int, bound: int) -> set[int]:
@@ -51,21 +54,9 @@ def ext1_neighbors(lam: int, p: int, bound: int) -> set[int]:
     from the digit rewrite rule (used to sweep large grids without testing
     every pair)."""
     check_prime(p)
-    ld = base_p_digits(lam, p)
-    out: set[int] = set()
-    k = nu_p(lam + 1, p)
-    # any rewrite at position k changes the weight by at least p^k, so
-    # positions beyond this window cannot rewrite lam to some mu <= bound
-    while p ** k <= (lam + bound + 1) * p * p:
-        if ld[k] != p - 1:
-            for delta in (-1, 1):
-                d1 = ld[k + 1] + delta
-                if 0 <= d1 <= p - 1:
-                    mu = lam + (p - 2 - 2 * ld[k]) * p ** k + (d1 - ld[k + 1]) * p ** (k + 1)
-                    if 0 <= mu <= bound:
-                        out.add(mu)
-        k += 1
-    return out
+    if lam < 0:
+        raise DomainError(f"weight must be non-negative, got {lam}")
+    return set(_rewrites(lam, p, bound))
 
 
 @dataclass(frozen=True)
@@ -161,16 +152,20 @@ def _twisted(node: ModuleExpr, l: int) -> ModuleExpr:
 
 
 def _digit_multisets(target_dim: int, max_digit: int) -> list[tuple[int, ...]]:
-    """Non-increasing digit tuples with prod(d_i + 1) = target_dim."""
+    """Non-increasing digit tuples with prod(d_i + 1) = target_dim.
+
+    Each factor d + 1 is a divisor of the remaining dimension, found by
+    trial division up to its square root."""
     out: list[tuple[int, ...]] = []
 
     def go(remaining: int, ceiling: int, acc: tuple[int, ...]):
         if remaining == 1:
             out.append(acc)
             return
-        for d in range(min(ceiling, remaining - 1), 0, -1):
-            if remaining % (d + 1) == 0:
-                go(remaining // (d + 1), d, acc + (d,))
+        small = [q for q in range(1, math.isqrt(remaining) + 1) if remaining % q == 0]
+        for q in sorted({*small, *(remaining // q for q in small)}, reverse=True):
+            if 1 < q <= ceiling + 1:
+                go(remaining // q, q - 1, acc + (q - 1,))
 
     go(target_dim, max_digit, ())
     return out

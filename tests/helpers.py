@@ -1,8 +1,11 @@
-"""Shared test utilities: random expression trees and a reference rank."""
+"""Shared test utilities: random expression trees, a reference rank, and
+a reference Ext^1 from the submodule lattice of a Weyl module."""
 
 from __future__ import annotations
 
+import functools
 import random
+from math import comb
 
 import numpy as np
 
@@ -96,3 +99,52 @@ def column_rank(A, p: int) -> int:
         if row == m:
             break
     return row
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_reach(lam: int, p: int) -> tuple[int, ...]:
+    """Bitmask of the basis positions that each position of V(lam) reaches.
+
+    V(lam) over GF(p) has the basis v_j = F^(j) v_0, j = 0..lam, with
+    F^(k) v_j = C(j+k, k) v_{j+k} and E^(k) v_j = C(lam-j+k, k) v_{j-k}.
+    The E^(p^i) and F^(p^i) generate the hyperalgebra and every weight
+    space is a line, so the submodules are the sets of positions closed
+    under these moves.
+    """
+    reach = [1 << j for j in range(lam + 1)]
+    k = 1
+    while k <= lam:
+        for j in range(lam + 1):
+            if j + k <= lam and comb(j + k, k) % p:
+                reach[j] |= 1 << (j + k)
+            if j >= k and comb(lam - j + k, k) % p:
+                reach[j] |= 1 << (j - k)
+        k *= p
+    for m in range(lam + 1):  # Warshall's transitive closure on bitmask rows
+        for j in range(lam + 1):
+            if reach[j] >> m & 1:
+                reach[j] |= reach[m]
+    return tuple(reach)
+
+
+def ext1_lattice(lam: int, mu: int, p: int) -> bool:
+    """Whether Ext^1(L(lam), L(mu)) != 0, read off the submodule lattice of
+    V(lam) with no digit rule (Jantzen, Representations of Algebraic
+    Groups, II.2.12-2.14).
+
+    For mu < lam, Ext^1(L(lam), L(mu)) = Hom(rad V(lam), L(mu)), and rad
+    V(lam) is the set of positions that cannot reach 0.  With j0 =
+    (lam-mu)/2, let K be the radical positions that do not reach j0 and
+    Q = rad minus K.  Ext^1 is nonzero exactly when j0 is in the radical,
+    j0 is the lowest position of Q, and Q lies inside the closure of j0.
+    lam = mu or an odd lam - mu gives 0, and the relation is symmetric.
+    """
+    if mu > lam:
+        lam, mu = mu, lam
+    if lam == mu or (lam - mu) % 2:
+        return False
+    reach = _weyl_reach(lam, p)
+    j0 = (lam - mu) // 2
+    rad = [j for j in range(lam + 1) if not reach[j] & 1]
+    q = [j for j in rad if reach[j] >> j0 & 1]
+    return j0 in rad and min(q) == j0 and all(reach[j0] >> j & 1 for j in q)

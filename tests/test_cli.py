@@ -1,15 +1,21 @@
 """Command-line interface: output formats, JSON schema, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import unipjordan
 from unipjordan.cli import main
 from unipjordan.core import PRIME_LIMIT, parse_partition
 
 WORKED_EXPR = "L(14)+T(10)+V(10)+V(10)^*+T(6)+L(4)+L(4)+L(0)"
+SRC = str(Path(unipjordan.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -461,3 +467,13 @@ def test_cli_fuzz(capsys):
         assert code in (0, 1, 2), argv
         assert len(err.splitlines()) <= 1, (argv, err)
     assert time.perf_counter() - start < 10
+
+
+def test_enumerate_one_block_below_a_large_prime():
+    # a single block of size p - 1: the digit search tries only the
+    # divisors of the dimension, not each of the ~p digits below it
+    proc = subprocess.run(
+        [sys.executable, "-m", "unipjordan.cli", "enumerate", "-p", "1000000007", "1000000006"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "irreducible: L(1000000005)[n1]  (0 <= n1)\n"

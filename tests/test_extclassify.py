@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import ext1_lattice
 from unipjordan.core import DomainError, JordanType, parse_partition
 from unipjordan.expr import Atom, Dual, Twist
 from unipjordan.extclassify import (
@@ -49,6 +50,19 @@ class TestExt1:
     def test_negative_weights_rejected(self):
         with pytest.raises(DomainError):
             ext1_nonzero(-1, 0, 5)
+        with pytest.raises(DomainError, match="weight must be non-negative, got -1"):
+            ext1_neighbors(-1, 5, 10)
+
+    def test_digit_rule_matches_the_weyl_module_lattice(self):
+        # the independent reference: Ext^1 from the submodule lattice of V(lam).
+        # At (1, 11), p = 2, the radical position j0 = 5 is not the lowest
+        # position that reaches it, so Ext^1 vanishes
+        assert not ext1_lattice(1, 11, 2) and not ext1_nonzero(1, 11, 2)
+        assert ext1_lattice(6, 2, 5) and ext1_lattice(2, 6, 5)
+        for p in (2, 3, 5, 7):
+            for lam in range(80):
+                for mu in range(80):
+                    assert ext1_lattice(lam, mu, p) == ext1_nonzero(lam, mu, p), (p, lam, mu)
 
 
 class TestNonsplitClassify:
